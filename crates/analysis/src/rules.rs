@@ -386,8 +386,8 @@ fn syscall_scoped(path: &str) -> bool {
 /// The audited-unsafe allowlist: the only places `unsafe` may appear at
 /// all. Everything here was reviewed line-by-line for this rule pack (the
 /// pool's lifetime erasure, the reactor's raw epoll/eventfd calls, and the
-/// AVX2 microkernels); growing the list is a deliberate review event, not
-/// a side effect of writing new code.
+/// kernels' AVX2+FMA dispatch point); growing the list is a deliberate
+/// review event, not a side effect of writing new code.
 const AUDITED_UNSAFE: &[&str] = &[
     "vendor/rayon/",
     "vendor/polling/",

@@ -3,16 +3,18 @@
 //! Runs the four throughput surfaces every speed claim in ROADMAP.md
 //! rests on — raw GEMM (naive vs cache-blocked at the same size), MLE
 //! fit, batch kriging, and the live prediction service under loadgen —
-//! and writes `results/BENCH_<pr>.json` so successive PRs leave a
-//! comparable trail. Latencies are medians over `XGS_REPS` repetitions;
-//! the serve sections report loadgen's p50/p99 for BOTH frontends
-//! (thread-per-connection under `"serve"`, epoll reactor under
-//! `"serve_reactor"`), and the two replays of the same seeded stream must
-//! agree on the response checksum.
+//! and writes the JSON record to `XGS_BENCH_OUT`, conventionally
+//! `results/BENCH_<pr>.json` so successive PRs leave a comparable trail
+//! (the record's `"pr"` is read from that file name, `null` for any other
+//! name). The record names the kernel instantiation the CPU dispatched
+//! to (`"kernel_path"`: `avx2+fma` or `generic`). Latencies are medians
+//! over `XGS_REPS` repetitions; the serve sections report loadgen's
+//! p50/p99 for BOTH frontends (thread-per-connection under `"serve"`,
+//! epoll reactor under `"serve_reactor"`), and the two replays of the same
+//! seeded stream must agree on the response checksum.
 //!
 //! ```text
-//! cargo run -p xgs-bench --release --bin bench_suite
-//! XGS_BENCH_OUT=results/BENCH_9.json XGS_REPS=5 cargo run -p xgs-bench --release --bin bench_suite
+//! XGS_BENCH_OUT=results/BENCH_12.json XGS_REPS=5 cargo run -p xgs-bench --release --bin bench_suite
 //! ```
 
 use std::sync::Arc;
@@ -25,7 +27,7 @@ use xgs_cholesky::TiledFactor;
 use xgs_core::mle::FitOptimizer;
 use xgs_core::{fit, krige, FitOptions, ModelFamily, PsoOptions};
 use xgs_covariance::{jittered_grid, morton_order, Matern, MaternParams};
-use xgs_kernels::{gemm, gemm_naive, Trans};
+use xgs_kernels::{gemm, gemm_naive, kernel_path, Trans};
 use xgs_server::{
     build_plan, loadgen, serve, Frontend, LoadgenConfig, ModelRegistry, ServerConfig,
 };
@@ -37,13 +39,26 @@ fn median_secs(reps: usize, mut f: impl FnMut()) -> f64 {
     median
 }
 
+/// The `<pr>` of a `BENCH_<pr>.json` output path as a JSON value, `null`
+/// for any other file name.
+fn pr_of(out: &str) -> String {
+    std::path::Path::new(out)
+        .file_stem()
+        .and_then(|stem| stem.to_str()?.strip_prefix("BENCH_")?.parse::<u32>().ok())
+        .map_or_else(|| "null".to_string(), |pr| pr.to_string())
+}
+
 fn main() {
     let reps = env_usize("XGS_REPS", 3);
-    let out = std::env::var("XGS_BENCH_OUT").unwrap_or_else(|_| "results/BENCH_9.json".into());
+    let Ok(out) = std::env::var("XGS_BENCH_OUT") else {
+        eprintln!("usage: XGS_BENCH_OUT=results/BENCH_<pr>.json bench_suite");
+        std::process::exit(2);
+    };
     let pool0 = rayon::global_pool_stats();
     println!(
-        "-- bench suite: {} pool workers, {reps} reps, out = {out} --",
-        pool0.threads
+        "-- bench suite: {} pool workers, {reps} reps, kernels {}, out = {out} --",
+        pool0.threads,
+        kernel_path()
     );
 
     // 1. GEMM: the ISSUE's headline number. Same size, same inputs, the
@@ -192,7 +207,7 @@ fn main() {
     let pool = rayon::global_pool_stats().since(&pool0);
     let json = format!(
         concat!(
-            "{{\"pr\":9,",
+            "{{\"pr\":{},\"kernel_path\":\"{}\",",
             "\"pool\":{{\"workers\":{},\"jobs\":{},\"inline_jobs\":{},\"steals\":{}}},",
             "\"gemm\":{{\"n\":{},\"naive_s\":{:.6},\"blocked_s\":{:.6},",
             "\"naive_gflops\":{:.3},\"blocked_gflops\":{:.3},\"speedup\":{:.3}}},",
@@ -203,6 +218,8 @@ fn main() {
             "\"serve_reactor\":{{\"frontend\":\"reactor\",\"requests\":{},\"throughput_rps\":{:.1},",
             "\"p50_ms\":{:.3},\"p99_ms\":{:.3},\"checksum\":\"{:016x}\"}}}}"
         ),
+        pr_of(&out),
+        kernel_path(),
         pool0.threads,
         pool.jobs,
         pool.inline_jobs,

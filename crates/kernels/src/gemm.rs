@@ -1,8 +1,9 @@
 //! General matrix-matrix multiply: `C <- alpha * op(A) * op(B) + beta * C`.
 //!
 //! Column-major with explicit leading dimensions, like BLAS `xGEMM`. The
-//! FP64/FP32 path is generic over [`Real`]; the FP16 path ([`shgemm`]) trims
-//! operands to binary16 and accumulates in FP32 (the paper's SHGEMM).
+//! FP64/FP32 path is generic over [`Real`]; the FP16 path ([`shgemm`]) widens
+//! binary16 operands exactly to FP32 as it reads them and accumulates in FP32
+//! (the paper's SHGEMM).
 //!
 //! Two execution paths share the same BLAS semantics:
 //!
@@ -10,11 +11,18 @@
 //!   and as the small-problem path (no packing overhead).
 //! * the cache-blocked path — BLIS-style `NC/KC/MC` loop blocking around an
 //!   `MR x NR` register microkernel over zero-padded packed micro-panels.
-//!   The generic microkernel is an 8-wide `mul_add` accumulator unroll that
-//!   autovectorizes under `-C target-cpu=native`; on x86-64 with AVX2+FMA an
-//!   explicit `std::arch` f64x4 microkernel is selected at runtime. Both
-//!   compute fused multiply-adds in the identical order, so the runtime
-//!   selection never changes results bitwise.
+//!   The microkernel is an `MR`-wide `mul_add` accumulator unroll that the
+//!   compiler vectorizes.
+//!
+//! **Instruction-set dispatch**: this module holds the crate's one runtime
+//! dispatch point, `dispatch`. Every kernel body — both GEMM paths and the
+//! unblocked POTRF, SYRK and TRSM loops — is a single generic
+//! `#[inline(always)]` body compiled twice: plainly, and inside an
+//! `avx2,fma` `#[target_feature]` function that runs when the CPU has both.
+//! Without the second instantiation a build without `-C target-cpu` flags
+//! lowers every `mul_add` to a libm `fma` call. Both instantiations compute
+//! the same fused multiply-adds in the same order (rustc never contracts
+//! `a * b + c`), so the choice never changes a result bit.
 //!
 //! **Determinism contract**: for a fixed `(m, k)` and fixed inputs, every
 //! output column is computed by the exact same arithmetic regardless of `n`
@@ -23,14 +31,109 @@
 //! multi-RHS solves bitwise identical to singleton solves on top of a
 //! blocked kernel.
 
+#[cfg(test)]
+use std::cell::Cell;
+
 use crate::half::Half;
 use crate::Real;
+
+/// A kernel body that [`dispatch`] runs. `run`, and every function it calls
+/// that does arithmetic, must be `#[inline(always)]`, so that each
+/// instantiation compiles the whole body for its instruction set.
+pub(crate) trait Body {
+    type Out;
+    fn run(self) -> Self::Out;
+}
+
+/// Whether the CPU has AVX2 and FMA, probed once and cached.
+#[cfg(target_arch = "x86_64")]
+fn avx2_fma() -> bool {
+    static HAVE: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
+    *HAVE.get_or_init(|| is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma"))
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+fn avx2_fma() -> bool {
+    false
+}
+
+#[cfg(test)]
+thread_local! {
+    static GENERIC_ONLY: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Run `f` with every kernel on this thread dispatched to the generic
+/// instantiation: the oracle of the bitwise dispatch tests.
+#[cfg(test)]
+pub(crate) fn generic_only<R>(f: impl FnOnce() -> R) -> R {
+    let prev = GENERIC_ONLY.replace(true);
+    let out = f();
+    GENERIC_ONLY.set(prev);
+    out
+}
+
+fn use_avx2_fma() -> bool {
+    #[cfg(test)]
+    if GENERIC_ONLY.get() {
+        return false;
+    }
+    avx2_fma()
+}
+
+/// The instantiation the kernels dispatch to on this CPU: `"avx2+fma"` or
+/// `"generic"`.
+pub fn kernel_path() -> &'static str {
+    if use_avx2_fma() {
+        "avx2+fma"
+    } else {
+        "generic"
+    }
+}
+
+/// Run a kernel body on the AVX2+FMA instantiation when the CPU has it, on
+/// the generic one otherwise.
+pub(crate) fn dispatch<B: Body>(body: B) -> B::Out {
+    #[cfg(target_arch = "x86_64")]
+    if use_avx2_fma() {
+        // SAFETY: `run_avx2_fma` needs nothing but CPU support for the
+        // AVX2 and FMA features it enables, which was detected just above.
+        // xgs-lint: allow(no-unjustified-unsafe): the callee's target features were detected at run time on the line above
+        return unsafe { run_avx2_fma(body) };
+    }
+    body.run()
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+fn run_avx2_fma<B: Body>(body: B) -> B::Out {
+    body.run()
+}
 
 /// Transposition flag for a GEMM operand.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Trans {
     No,
     Yes,
+}
+
+/// An operand element the GEMM bodies read as `T`: `T` itself, or a
+/// binary16 value widened (exactly) to `f32` for [`shgemm`].
+trait Load<T>: Copy {
+    fn load(self) -> T;
+}
+
+impl<T: Real> Load<T> for T {
+    #[inline(always)]
+    fn load(self) -> T {
+        self
+    }
+}
+
+impl Load<f32> for Half {
+    #[inline(always)]
+    fn load(self) -> f32 {
+        self.to_f32()
+    }
 }
 
 /// Microkernel register tile: `MR x NR` accumulators.
@@ -50,15 +153,15 @@ const NC: usize = 512;
 const BLOCK_MIN_MK: usize = 48 * 48;
 
 #[allow(clippy::too_many_arguments)]
-fn check_dims<T: Real>(
+fn check_dims<S, T>(
     transa: Trans,
     transb: Trans,
     m: usize,
     n: usize,
     k: usize,
-    a: &[T],
+    a: &[S],
     lda: usize,
-    b: &[T],
+    b: &[S],
     ldb: usize,
     c: &[T],
     ldc: usize,
@@ -126,16 +229,9 @@ pub fn gemm<T: Real>(
     c: &mut [T],
     ldc: usize,
 ) {
-    check_dims(transa, transb, m, n, k, a, lda, b, ldb, c, ldc);
-    scale_beta(m, n, beta, c, ldc);
-    if k == 0 || m == 0 || n == 0 || alpha == T::ZERO {
-        return;
-    }
-    if m * k >= BLOCK_MIN_MK {
-        gemm_core_blocked(transa, transb, m, n, k, alpha, a, lda, b, ldb, c, ldc);
-    } else {
-        gemm_core_naive(transa, transb, m, n, k, alpha, a, lda, b, ldb, c, ldc);
-    }
+    gemm_any(
+        false, transa, transb, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc,
+    );
 }
 
 /// The original unblocked loop nest with full BLAS semantics — the test
@@ -156,44 +252,115 @@ pub fn gemm_naive<T: Real>(
     c: &mut [T],
     ldc: usize,
 ) {
-    check_dims(transa, transb, m, n, k, a, lda, b, ldb, c, ldc);
-    scale_beta(m, n, beta, c, ldc);
-    if k == 0 || m == 0 || n == 0 || alpha == T::ZERO {
-        return;
-    }
-    gemm_core_naive(transa, transb, m, n, k, alpha, a, lda, b, ldb, c, ldc);
+    gemm_any(
+        true, transa, transb, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc,
+    );
 }
 
-/// Unblocked update `C += alpha * op(A) * op(B)` (beta already applied).
+/// Shared entry of [`gemm`], [`gemm_naive`] and [`shgemm`]: check, apply
+/// beta, then dispatch the blocked or (`naive_only`, or a small `m * k`)
+/// the naive update.
 #[allow(clippy::too_many_arguments)]
-fn gemm_core_naive<T: Real>(
+fn gemm_any<S: Load<T>, T: Real>(
+    naive_only: bool,
     transa: Trans,
     transb: Trans,
     m: usize,
     n: usize,
     k: usize,
     alpha: T,
-    a: &[T],
+    a: &[S],
     lda: usize,
-    b: &[T],
+    b: &[S],
     ldb: usize,
+    beta: T,
     c: &mut [T],
     ldc: usize,
 ) {
+    check_dims(transa, transb, m, n, k, a, lda, b, ldb, c, ldc);
+    scale_beta(m, n, beta, c, ldc);
+    if k == 0 || m == 0 || n == 0 || alpha == T::ZERO {
+        return;
+    }
+    dispatch(Update {
+        blocked: !naive_only && m * k >= BLOCK_MIN_MK,
+        transa,
+        transb,
+        m,
+        n,
+        k,
+        alpha,
+        a,
+        lda,
+        b,
+        ldb,
+        c,
+        ldc,
+    });
+}
+
+/// The update `C += alpha * op(A) * op(B)` (beta already applied) as one
+/// dispatched body: the cache-blocked path or the naive loop nest.
+struct Update<'a, S, T> {
+    blocked: bool,
+    transa: Trans,
+    transb: Trans,
+    m: usize,
+    n: usize,
+    k: usize,
+    alpha: T,
+    a: &'a [S],
+    lda: usize,
+    b: &'a [S],
+    ldb: usize,
+    c: &'a mut [T],
+    ldc: usize,
+}
+
+impl<S: Load<T>, T: Real> Body for Update<'_, S, T> {
+    type Out = ();
+    #[inline(always)]
+    fn run(self) {
+        if self.blocked {
+            gemm_core_blocked(self);
+        } else {
+            gemm_core_naive(self);
+        }
+    }
+}
+
+/// Unblocked update `C += alpha * op(A) * op(B)`.
+#[inline(always)]
+fn gemm_core_naive<S: Load<T>, T: Real>(u: Update<'_, S, T>) {
+    let Update {
+        transa,
+        transb,
+        m,
+        n,
+        k,
+        alpha,
+        a,
+        lda,
+        b,
+        ldb,
+        c,
+        ldc,
+        ..
+    } = u;
     match (transa, transb) {
         (Trans::No, Trans::No) => {
             // C[:,j] += alpha * A[:,l] * B[l,j] — pure axpy over columns,
             // vectorizes along m.
             for j in 0..n {
                 for l in 0..k {
-                    let blj = alpha * b[l + j * ldb];
+                    let blj = alpha * b[l + j * ldb].load();
                     if blj == T::ZERO {
                         continue;
                     }
                     let acol = &a[l * lda..l * lda + m];
                     let ccol = &mut c[j * ldc..j * ldc + m];
                     for (ci, ai) in ccol.iter_mut().zip(acol) {
-                        *ci = ai.mul_add(blj, *ci);
+                        *ci = ai.load().mul_add(blj, *ci);
                     }
                 }
             }
@@ -203,14 +370,14 @@ fn gemm_core_naive<T: Real>(
             // inner loop still streams columns of A and C.
             for j in 0..n {
                 for l in 0..k {
-                    let blj = alpha * b[j + l * ldb];
+                    let blj = alpha * b[j + l * ldb].load();
                     if blj == T::ZERO {
                         continue;
                     }
                     let acol = &a[l * lda..l * lda + m];
                     let ccol = &mut c[j * ldc..j * ldc + m];
                     for (ci, ai) in ccol.iter_mut().zip(acol) {
-                        *ci = ai.mul_add(blj, *ci);
+                        *ci = ai.load().mul_add(blj, *ci);
                     }
                 }
             }
@@ -224,7 +391,7 @@ fn gemm_core_naive<T: Real>(
                     let acol = &a[i * lda..i * lda + k];
                     let mut s = T::ZERO;
                     for (ai, bi) in acol.iter().zip(bcol) {
-                        s = ai.mul_add(*bi, s);
+                        s = ai.load().mul_add(bi.load(), s);
                     }
                     c[i + j * ldc] += alpha * s;
                 }
@@ -237,7 +404,7 @@ fn gemm_core_naive<T: Real>(
                     let acol = &a[i * lda..i * lda + k];
                     let mut s = T::ZERO;
                     for (l, ai) in acol.iter().enumerate() {
-                        s = ai.mul_add(b[j + l * ldb], s);
+                        s = ai.load().mul_add(b[j + l * ldb].load(), s);
                     }
                     c[i + j * ldc] += alpha * s;
                 }
@@ -251,11 +418,12 @@ fn gemm_core_naive<T: Real>(
 /// (`apack[p*MR*kc + l*MR + r]`), rows past `mc` zero-padded so the
 /// microkernel never branches on the row edge.
 #[allow(clippy::too_many_arguments)]
-fn pack_a<T: Real>(
+#[inline(always)]
+fn pack_a<S: Load<T>, T: Real>(
     transa: Trans,
     mc: usize,
     kc: usize,
-    a: &[T],
+    a: &[S],
     lda: usize,
     ic: usize,
     pc: usize,
@@ -269,8 +437,8 @@ fn pack_a<T: Real>(
                 let row = p * MR + r;
                 apack[base + l * MR + r] = if row < mc {
                     match transa {
-                        Trans::No => a[(ic + row) + (pc + l) * lda],
-                        Trans::Yes => a[(pc + l) + (ic + row) * lda],
+                        Trans::No => a[(ic + row) + (pc + l) * lda].load(),
+                        Trans::Yes => a[(pc + l) + (ic + row) * lda].load(),
                     }
                 } else {
                     T::ZERO
@@ -283,11 +451,12 @@ fn pack_a<T: Real>(
 /// Pack `op(B)[pc.., jc..]` (`kc x nc`) into column micro-panels of width
 /// `NR` (`bpack[q*NR*kc + l*NR + c]`), columns past `nc` zero-padded.
 #[allow(clippy::too_many_arguments)]
-fn pack_b<T: Real>(
+#[inline(always)]
+fn pack_b<S: Load<T>, T: Real>(
     transb: Trans,
     kc: usize,
     nc: usize,
-    b: &[T],
+    b: &[S],
     ldb: usize,
     pc: usize,
     jc: usize,
@@ -301,8 +470,8 @@ fn pack_b<T: Real>(
                 let j = q * NR + col;
                 bpack[base + l * NR + col] = if j < nc {
                     match transb {
-                        Trans::No => b[(pc + l) + (jc + j) * ldb],
-                        Trans::Yes => b[(jc + j) + (pc + l) * ldb],
+                        Trans::No => b[(pc + l) + (jc + j) * ldb].load(),
+                        Trans::Yes => b[(jc + j) + (pc + l) * ldb].load(),
                     }
                 } else {
                     T::ZERO
@@ -312,13 +481,15 @@ fn pack_b<T: Real>(
     }
 }
 
-/// Generic `MR x NR` microkernel: `acc[c][r] += ap[l][r] * bp[l][c]` over
-/// `l`, one fused multiply-add per element per step. The `MR`-wide inner
-/// unroll over a contiguous packed panel autovectorizes (vfmadd under
-/// `-C target-cpu=native`); the explicit AVX2 kernel below performs the
-/// identical operations in the identical order.
+/// `MR x NR` microkernel: `acc[c][r] += ap[l][r] * bp[l][c]` over `l`, one
+/// fused multiply-add per element per step. The `MR`-wide inner unroll over
+/// a contiguous packed panel vectorizes into `vfmadd` in the AVX2+FMA
+/// instantiation. The accumulators are a local returned by value so they
+/// stay in registers: taken by `&mut` from the caller, they stayed in
+/// memory and the blocked GEMM ran about 9x slower.
 #[inline(always)]
-fn microkernel<T: Real>(kc: usize, ap: &[T], bp: &[T], acc: &mut [[T; MR]; NR]) {
+fn microkernel<T: Real>(kc: usize, ap: &[T], bp: &[T]) -> [[T; MR]; NR] {
+    let mut acc = [[T::ZERO; MR]; NR];
     for l in 0..kc {
         let av = &ap[l * MR..l * MR + MR];
         let bv = &bp[l * NR..l * NR + NR];
@@ -328,104 +499,34 @@ fn microkernel<T: Real>(kc: usize, ap: &[T], bp: &[T], acc: &mut [[T; MR]; NR]) 
             }
         }
     }
+    acc
 }
 
-#[cfg(target_arch = "x86_64")]
-mod avx {
-    use super::{MR, NR};
-    use std::arch::x86_64::*;
-    use std::sync::OnceLock;
-
-    /// Runtime AVX2+FMA probe, cached after the first call.
-    pub(super) fn available() -> bool {
-        static HAVE: OnceLock<bool> = OnceLock::new();
-        *HAVE.get_or_init(|| is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma"))
-    }
-
-    /// f64x4 microkernel: rows 0..4 and 4..8 of each accumulator column are
-    /// one `__m256d` each, updated with `vfmadd231pd` per `l` — the same
-    /// fused operation, in the same order, as the generic kernel, so the
-    /// two are bitwise interchangeable.
-    ///
-    /// # Safety
-    /// Caller must ensure AVX2+FMA are available ([`available`]) and that
-    /// `ap`/`bp` hold at least `kc * MR` / `kc * NR` elements.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    // xgs-lint: allow(no-unjustified-unsafe): target_feature fn; callers check avx::available() and slice lengths per the Safety contract
-    pub(super) unsafe fn microkernel_f64(
-        kc: usize,
-        ap: &[f64],
-        bp: &[f64],
-        acc: &mut [[f64; MR]; NR],
-    ) {
-        debug_assert!(ap.len() >= kc * MR && bp.len() >= kc * NR);
-        let mut lo = [_mm256_setzero_pd(); NR];
-        let mut hi = [_mm256_setzero_pd(); NR];
-        let ap = ap.as_ptr();
-        let bp = bp.as_ptr();
-        for l in 0..kc {
-            let a_lo = _mm256_loadu_pd(ap.add(l * MR));
-            let a_hi = _mm256_loadu_pd(ap.add(l * MR + 4));
-            for c in 0..NR {
-                let b = _mm256_broadcast_sd(&*bp.add(l * NR + c));
-                lo[c] = _mm256_fmadd_pd(a_lo, b, lo[c]);
-                hi[c] = _mm256_fmadd_pd(a_hi, b, hi[c]);
-            }
-        }
-        for c in 0..NR {
-            _mm256_storeu_pd(acc[c].as_mut_ptr(), lo[c]);
-            _mm256_storeu_pd(acc[c].as_mut_ptr().add(4), hi[c]);
-        }
-    }
-}
-
-/// Run the microkernel for one register tile, dispatching to the AVX2 f64
-/// kernel when the CPU has it (bitwise-identical to the generic one).
-#[inline(always)]
-fn run_microkernel<T: Real>(kc: usize, ap: &[T], bp: &[T], acc: &mut [[T; MR]; NR]) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        use std::any::TypeId;
-        if TypeId::of::<T>() == TypeId::of::<f64>() && avx::available() {
-            // SAFETY: T is exactly f64 (TypeId match on 'static types), so
-            // these are plain same-type reborrows; AVX2+FMA presence was
-            // just checked.
-            // xgs-lint: allow(no-unjustified-unsafe): same-type reborrow proven by TypeId equality; feature presence checked one line up
-            unsafe {
-                let ap64 = std::slice::from_raw_parts(ap.as_ptr() as *const f64, ap.len());
-                let bp64 = std::slice::from_raw_parts(bp.as_ptr() as *const f64, bp.len());
-                let acc64 = &mut *(acc as *mut [[T; MR]; NR] as *mut [[f64; MR]; NR]);
-                avx::microkernel_f64(kc, ap64, bp64, acc64);
-            }
-            return;
-        }
-    }
-    microkernel(kc, ap, bp, acc);
-}
-
-/// Cache-blocked update `C += alpha * op(A) * op(B)` (beta already
-/// applied): BLIS-style `jc/pc/ic` loop blocking over packed, zero-padded
-/// micro-panels with an `MR x NR` register microkernel.
+/// Cache-blocked update `C += alpha * op(A) * op(B)`: BLIS-style
+/// `jc/pc/ic` loop blocking over packed, zero-padded micro-panels with an
+/// `MR x NR` register microkernel.
 ///
 /// Per-column arithmetic depends only on `(m, k)` and the column's data:
 /// the `pc` loop fixes the k-summation grouping from `KC` alone, and a
 /// column's register-tile membership never changes what is accumulated
 /// into it — which keeps batched and singleton calls bitwise identical.
-#[allow(clippy::too_many_arguments)]
-fn gemm_core_blocked<T: Real>(
-    transa: Trans,
-    transb: Trans,
-    m: usize,
-    n: usize,
-    k: usize,
-    alpha: T,
-    a: &[T],
-    lda: usize,
-    b: &[T],
-    ldb: usize,
-    c: &mut [T],
-    ldc: usize,
-) {
+#[inline(always)]
+fn gemm_core_blocked<S: Load<T>, T: Real>(u: Update<'_, S, T>) {
+    let Update {
+        transa,
+        transb,
+        m,
+        n,
+        k,
+        alpha,
+        a,
+        lda,
+        b,
+        ldb,
+        c,
+        ldc,
+        ..
+    } = u;
     let kc_max = KC.min(k);
     let mut apack = vec![T::ZERO; MC.min(m).div_ceil(MR) * MR * kc_max];
     let mut bpack = vec![T::ZERO; NC.min(n).div_ceil(NR) * NR * kc_max];
@@ -443,8 +544,7 @@ fn gemm_core_blocked<T: Real>(
                     for ir in (0..mc).step_by(MR) {
                         let mr = MR.min(mc - ir);
                         let ap = &apack[(ir / MR) * MR * kc..][..MR * kc];
-                        let mut acc = [[T::ZERO; MR]; NR];
-                        run_microkernel(kc, ap, bp, &mut acc);
+                        let acc = microkernel(kc, ap, bp);
                         // Write back only the real rows/cols; padded lanes
                         // hold exact zeros and are dropped.
                         for (cq, col) in acc.iter().enumerate().take(nr) {
@@ -499,8 +599,10 @@ pub fn gemm_notrans<T: Real>(
 /// `a_il * b_lj` is computed on the exact `f32` values of the halves and
 /// accumulated in `f32`, reproducing the mixed-precision HGEMM-with-FP32-
 /// accumulation the paper obtains from BLIS on A64FX (Fig. 8) and from
-/// trimmed SGEMM on Shaheen II. The promoted panels run through the same
-/// blocked [`gemm`] as the FP32 path.
+/// trimmed SGEMM on Shaheen II. The halves are widened as the f32 path
+/// reads them (into its pack buffers on the blocked path), so the result
+/// is bit-for-bit [`gemm`] on the promoted operands: "call an SGEMM BLAS
+/// routine to accumulate in FP32".
 #[allow(clippy::too_many_arguments)]
 pub fn shgemm(
     transa: Trans,
@@ -517,32 +619,8 @@ pub fn shgemm(
     c: &mut [f32],
     ldc: usize,
 ) {
-    // Promote operand panels once (exact), then run the f32 kernel. This is
-    // precisely "call an SGEMM BLAS routine to accumulate in FP32".
-    let (a_rows, a_cols) = match transa {
-        Trans::No => (m, k),
-        Trans::Yes => (k, m),
-    };
-    let (b_rows, b_cols) = match transb {
-        Trans::No => (k, n),
-        Trans::Yes => (n, k),
-    };
-    let af = Half::promote_panel(a, a_rows, a_cols, lda);
-    let bf = Half::promote_panel(b, b_rows, b_cols, ldb);
-    gemm(
-        transa,
-        transb,
-        m,
-        n,
-        k,
-        alpha,
-        &af,
-        a_rows.max(1),
-        &bf,
-        b_rows.max(1),
-        beta,
-        c,
-        ldc,
+    gemm_any(
+        false, transa, transb, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc,
     );
 }
 

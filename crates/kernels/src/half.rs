@@ -141,23 +141,6 @@ impl Half {
     pub fn is_finite(self) -> bool {
         (self.0 & 0x7C00) != 0x7C00
     }
-
-    /// Promote a column-major `rows x cols` panel with leading dimension
-    /// `ld` to a dense (leading dimension `rows`) contiguous `f32` buffer.
-    /// Exact — every binary16 is representable in `f32`. This is the bulk
-    /// conversion feeding [`crate::gemm::shgemm`]'s FP32-accumulating
-    /// blocked kernel.
-    pub fn promote_panel(src: &[Half], rows: usize, cols: usize, ld: usize) -> Vec<f32> {
-        let mut out = vec![0f32; rows * cols.max(1)];
-        for j in 0..cols {
-            let s = &src[j * ld..j * ld + rows];
-            let d = &mut out[j * rows..j * rows + rows];
-            for (di, hi) in d.iter_mut().zip(s) {
-                *di = hi.to_f32();
-            }
-        }
-        out
-    }
 }
 
 impl std::fmt::Debug for Half {

@@ -16,6 +16,8 @@
 //! like LAPACK, so a tile is addressed as `a[i + j * lda]`.
 
 pub mod convert;
+#[cfg(test)]
+mod dispatch_tests;
 pub mod gemm;
 pub mod half;
 pub mod potrf;
@@ -27,7 +29,7 @@ pub use convert::{
     demote_f32_to_f16, demote_f64_to_f16, demote_f64_to_f32, promote_f16_to_f32,
     promote_f16_to_f64, promote_f32_to_f64,
 };
-pub use gemm::{gemm, gemm_naive, gemm_notrans, shgemm, Trans};
+pub use gemm::{gemm, gemm_naive, gemm_notrans, kernel_path, shgemm, Trans};
 pub use half::Half;
 pub use potrf::{potrf, potrf_unblocked, PotrfError};
 pub use precision::Precision;

@@ -8,6 +8,7 @@
 //! large factorization flows through the cache-blocked GEMM microkernels
 //! instead of the column-at-a-time loop.
 
+use crate::gemm::{dispatch, Body};
 use crate::syrk::syrk_lower_notrans;
 use crate::trsm::trsm_right_lower_trans;
 use crate::Real;
@@ -93,41 +94,57 @@ pub fn potrf_unblocked<T: Real>(n: usize, a: &mut [T], lda: usize) -> Result<(),
 }
 
 fn potrf_core<T: Real>(n: usize, a: &mut [T], lda: usize) -> Result<(), PotrfError> {
-    for j in 0..n {
-        // d = A[j,j] - sum_{p<j} L[j,p]^2
-        let mut d = a[j + j * lda];
-        for p in 0..j {
-            let ljp = a[j + p * lda];
-            d = (-ljp).mul_add(ljp, d);
-        }
-        // NaN must fail too, hence the negated comparison (not `d <= 0`).
-        #[allow(clippy::neg_cmp_op_on_partial_ord)]
-        if !(d > T::ZERO) || !d.to_f64().is_finite() {
-            return Err(PotrfError { pivot: j });
-        }
-        let ljj = d.sqrt();
-        a[j + j * lda] = ljj;
-        let inv = T::ONE / ljj;
-        // Column below the pivot: L[i,j] = (A[i,j] - sum L[i,p] L[j,p]) / L[j,j]
-        for p in 0..j {
-            let ljp = a[j + p * lda];
-            if ljp == T::ZERO {
-                continue;
+    dispatch(PotrfCore { n, a, lda })
+}
+
+/// The right-looking column loop as one dispatched body.
+struct PotrfCore<'a, T> {
+    n: usize,
+    a: &'a mut [T],
+    lda: usize,
+}
+
+impl<T: Real> Body for PotrfCore<'_, T> {
+    type Out = Result<(), PotrfError>;
+    #[inline(always)]
+    fn run(self) -> Self::Out {
+        let PotrfCore { n, a, lda } = self;
+        for j in 0..n {
+            // d = A[j,j] - sum_{p<j} L[j,p]^2
+            let mut d = a[j + j * lda];
+            for p in 0..j {
+                let ljp = a[j + p * lda];
+                d = (-ljp).mul_add(ljp, d);
             }
-            // a[j+1.., j] -= ljp * a[j+1.., p]; columns are disjoint.
-            let (lo, hi) = a.split_at_mut(j * lda);
-            let pcol = &lo[p * lda + j + 1..p * lda + n];
-            let jcol = &mut hi[j + 1..n];
-            for (x, y) in jcol.iter_mut().zip(pcol) {
-                *x = (-ljp).mul_add(*y, *x);
+            // NaN must fail too, hence the negated comparison (not `d <= 0`).
+            #[allow(clippy::neg_cmp_op_on_partial_ord)]
+            if !(d > T::ZERO) || !d.to_f64().is_finite() {
+                return Err(PotrfError { pivot: j });
+            }
+            let ljj = d.sqrt();
+            a[j + j * lda] = ljj;
+            let inv = T::ONE / ljj;
+            // Column below the pivot: L[i,j] = (A[i,j] - sum L[i,p] L[j,p]) / L[j,j]
+            for p in 0..j {
+                let ljp = a[j + p * lda];
+                if ljp == T::ZERO {
+                    continue;
+                }
+                // a[j+1.., j] -= ljp * a[j+1.., p]; columns are disjoint.
+                let (lo, hi) = a.split_at_mut(j * lda);
+                let pcol = &lo[p * lda + j + 1..p * lda + n];
+                let jcol = &mut hi[j + 1..n];
+                for (x, y) in jcol.iter_mut().zip(pcol) {
+                    *x = (-ljp).mul_add(*y, *x);
+                }
+            }
+            for i in j + 1..n {
+                let idx = i + j * lda;
+                a[idx] = a[idx] * inv;
             }
         }
-        for i in j + 1..n {
-            let idx = i + j * lda;
-            a[idx] = a[idx] * inv;
-        }
+        Ok(())
     }
-    Ok(())
 }
 
 #[cfg(test)]

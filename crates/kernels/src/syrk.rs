@@ -11,7 +11,7 @@
 //! [`gemm`] — so SYRK inherits the packed microkernel for the bulk of its
 //! flops while the strict upper triangle stays untouched.
 
-use crate::gemm::{gemm, Trans};
+use crate::gemm::{dispatch, gemm, Body, Trans};
 use crate::Real;
 
 /// Diagonal-block width of the blocked path; below-or-at this order the
@@ -122,16 +122,52 @@ fn check_and_scale<T: Real>(
 /// Column-j of the update: `C[j.., j] += alpha * A[j.., l] * A[j, l]`
 /// (beta already applied by the caller).
 fn syrk_core<T: Real>(n: usize, k: usize, alpha: T, a: &[T], lda: usize, c: &mut [T], ldc: usize) {
-    for j in 0..n {
-        for l in 0..k {
-            let ajl = alpha * a[j + l * lda];
-            if ajl == T::ZERO {
-                continue;
-            }
-            let acol = &a[l * lda + j..l * lda + n];
-            let ccol = &mut c[j * ldc + j..j * ldc + n];
-            for (ci, ai) in ccol.iter_mut().zip(acol) {
-                *ci = ai.mul_add(ajl, *ci);
+    dispatch(SyrkCore {
+        n,
+        k,
+        alpha,
+        a,
+        lda,
+        c,
+        ldc,
+    });
+}
+
+/// [`syrk_core`]'s column loop as one dispatched body.
+struct SyrkCore<'a, T> {
+    n: usize,
+    k: usize,
+    alpha: T,
+    a: &'a [T],
+    lda: usize,
+    c: &'a mut [T],
+    ldc: usize,
+}
+
+impl<T: Real> Body for SyrkCore<'_, T> {
+    type Out = ();
+    #[inline(always)]
+    fn run(self) {
+        let SyrkCore {
+            n,
+            k,
+            alpha,
+            a,
+            lda,
+            c,
+            ldc,
+        } = self;
+        for j in 0..n {
+            for l in 0..k {
+                let ajl = alpha * a[j + l * lda];
+                if ajl == T::ZERO {
+                    continue;
+                }
+                let acol = &a[l * lda + j..l * lda + n];
+                let ccol = &mut c[j * ldc + j..j * ldc + n];
+                for (ci, ai) in ccol.iter_mut().zip(acol) {
+                    *ci = ai.mul_add(ajl, *ci);
+                }
             }
         }
     }

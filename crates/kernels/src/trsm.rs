@@ -18,7 +18,7 @@
 //! multi-RHS solve stays bitwise identical to solving each column alone
 //! (the server's batched==singleton guarantee).
 
-use crate::gemm::{gemm, Trans};
+use crate::gemm::{dispatch, gemm, Body, Trans};
 use crate::Real;
 
 /// Diagonal-block order of the blocked solves; at or below this the
@@ -108,34 +108,16 @@ pub fn trsm_right_lower_trans_unblocked<T: Real>(
         assert!(l.len() >= ldl * (n - 1) + n);
         assert!(b.len() >= ldb * (n - 1) + m);
     }
-    // Solve X * L^T = alpha * B column by column of X (j increasing):
-    // X[:,j] = (alpha*B[:,j] - sum_{p<j} X[:,p] * L[j,p]) / L[j,j].
-    for j in 0..n {
-        if alpha != T::ONE {
-            for i in 0..m {
-                let idx = i + j * ldb;
-                b[idx] = b[idx] * alpha;
-            }
-        }
-        for p in 0..j {
-            let ljp = l[j + p * ldl];
-            if ljp == T::ZERO {
-                continue;
-            }
-            // b[:,j] -= ljp * b[:,p] ... need two disjoint columns.
-            let (lo, hi) = b.split_at_mut(j * ldb);
-            let xcol = &lo[p * ldb..p * ldb + m];
-            let bcol = &mut hi[..m];
-            for (bi, xi) in bcol.iter_mut().zip(xcol) {
-                *bi = (-ljp).mul_add(*xi, *bi);
-            }
-        }
-        let inv = T::ONE / l[j + j * ldl];
-        for i in 0..m {
-            let idx = i + j * ldb;
-            b[idx] = b[idx] * inv;
-        }
-    }
+    dispatch(Unblocked {
+        solve: Solve::RightLowerTrans,
+        m,
+        n,
+        alpha,
+        l,
+        ldl,
+        b,
+        ldb,
+    });
 }
 
 /// `B <- alpha * L^{-1} B` with `L` lower triangular `m x m`, `B` `m x n`
@@ -212,26 +194,16 @@ pub fn trsm_left_lower_notrans_unblocked<T: Real>(
         assert!(l.len() >= ldl * (m - 1) + m);
         assert!(b.len() >= ldb * (n - 1) + m);
     }
-    for j in 0..n {
-        let col = &mut b[j * ldb..j * ldb + m];
-        if alpha != T::ONE {
-            for x in col.iter_mut() {
-                *x = *x * alpha;
-            }
-        }
-        for i in 0..m {
-            let xi = col[i] / l[i + i * ldl];
-            col[i] = xi;
-            if xi == T::ZERO {
-                continue;
-            }
-            let lcol = &l[i * ldl + i + 1..i * ldl + m];
-            let (_, rest) = col.split_at_mut(i + 1);
-            for (bk, lk) in rest.iter_mut().zip(lcol) {
-                *bk = (-xi).mul_add(*lk, *bk);
-            }
-        }
-    }
+    dispatch(Unblocked {
+        solve: Solve::LeftLowerNotrans,
+        m,
+        n,
+        alpha,
+        l,
+        ldl,
+        b,
+        ldb,
+    });
 }
 
 /// `B <- alpha * L^{-T} B` with `L` lower triangular `m x m`, `B` `m x n`
@@ -304,21 +276,125 @@ pub fn trsm_left_lower_trans_unblocked<T: Real>(
         assert!(l.len() >= ldl * (m - 1) + m);
         assert!(b.len() >= ldb * (n - 1) + m);
     }
-    for j in 0..n {
-        let col = &mut b[j * ldb..j * ldb + m];
-        if alpha != T::ONE {
-            for x in col.iter_mut() {
-                *x = *x * alpha;
+    dispatch(Unblocked {
+        solve: Solve::LeftLowerTrans,
+        m,
+        n,
+        alpha,
+        l,
+        ldl,
+        b,
+        ldb,
+    });
+}
+
+/// The three unblocked substitutions.
+#[derive(Clone, Copy)]
+enum Solve {
+    RightLowerTrans,
+    LeftLowerNotrans,
+    LeftLowerTrans,
+}
+
+/// One unblocked substitution as a dispatched body (arguments checked by
+/// the public `*_unblocked` entry points).
+struct Unblocked<'a, T> {
+    solve: Solve,
+    m: usize,
+    n: usize,
+    alpha: T,
+    l: &'a [T],
+    ldl: usize,
+    b: &'a mut [T],
+    ldb: usize,
+}
+
+impl<T: Real> Body for Unblocked<'_, T> {
+    type Out = ();
+    #[inline(always)]
+    fn run(self) {
+        let Unblocked {
+            solve,
+            m,
+            n,
+            alpha,
+            l,
+            ldl,
+            b,
+            ldb,
+        } = self;
+        match solve {
+            Solve::RightLowerTrans => {
+                // Solve X * L^T = alpha * B column by column of X (j increasing):
+                // X[:,j] = (alpha*B[:,j] - sum_{p<j} X[:,p] * L[j,p]) / L[j,j].
+                for j in 0..n {
+                    if alpha != T::ONE {
+                        for i in 0..m {
+                            let idx = i + j * ldb;
+                            b[idx] = b[idx] * alpha;
+                        }
+                    }
+                    for p in 0..j {
+                        let ljp = l[j + p * ldl];
+                        if ljp == T::ZERO {
+                            continue;
+                        }
+                        // b[:,j] -= ljp * b[:,p] ... need two disjoint columns.
+                        let (lo, hi) = b.split_at_mut(j * ldb);
+                        let xcol = &lo[p * ldb..p * ldb + m];
+                        let bcol = &mut hi[..m];
+                        for (bi, xi) in bcol.iter_mut().zip(xcol) {
+                            *bi = (-ljp).mul_add(*xi, *bi);
+                        }
+                    }
+                    let inv = T::ONE / l[j + j * ldl];
+                    for i in 0..m {
+                        let idx = i + j * ldb;
+                        b[idx] = b[idx] * inv;
+                    }
+                }
             }
-        }
-        for i in (0..m).rev() {
-            // x_i = (b_i - sum_{k>i} L[k,i] x_k) / L[i,i]
-            let lcol = &l[i * ldl + i + 1..i * ldl + m];
-            let mut s = col[i];
-            for (lk, xk) in lcol.iter().zip(&col[i + 1..]) {
-                s = (-*lk).mul_add(*xk, s);
+            Solve::LeftLowerNotrans => {
+                for j in 0..n {
+                    let col = &mut b[j * ldb..j * ldb + m];
+                    if alpha != T::ONE {
+                        for x in col.iter_mut() {
+                            *x = *x * alpha;
+                        }
+                    }
+                    for i in 0..m {
+                        let xi = col[i] / l[i + i * ldl];
+                        col[i] = xi;
+                        if xi == T::ZERO {
+                            continue;
+                        }
+                        let lcol = &l[i * ldl + i + 1..i * ldl + m];
+                        let (_, rest) = col.split_at_mut(i + 1);
+                        for (bk, lk) in rest.iter_mut().zip(lcol) {
+                            *bk = (-xi).mul_add(*lk, *bk);
+                        }
+                    }
+                }
             }
-            col[i] = s / l[i + i * ldl];
+            Solve::LeftLowerTrans => {
+                for j in 0..n {
+                    let col = &mut b[j * ldb..j * ldb + m];
+                    if alpha != T::ONE {
+                        for x in col.iter_mut() {
+                            *x = *x * alpha;
+                        }
+                    }
+                    for i in (0..m).rev() {
+                        // x_i = (b_i - sum_{k>i} L[k,i] x_k) / L[i,i]
+                        let lcol = &l[i * ldl + i + 1..i * ldl + m];
+                        let mut s = col[i];
+                        for (lk, xk) in lcol.iter().zip(&col[i + 1..]) {
+                            s = (-*lk).mul_add(*xk, s);
+                        }
+                        col[i] = s / l[i + i * ldl];
+                    }
+                }
+            }
         }
     }
 }
