@@ -1,9 +1,9 @@
 //! The per-PR perf trajectory record: one binary, one JSON.
 //!
-//! Runs the four throughput surfaces every speed claim in ROADMAP.md
-//! rests on — raw GEMM (naive vs cache-blocked at the same size), MLE
-//! fit, batch kriging, and the live prediction service under loadgen —
-//! and writes the JSON record to `XGS_BENCH_OUT`, conventionally
+//! Runs the surfaces every speed claim in ROADMAP.md rests on — raw GEMM
+//! (naive vs cache-blocked at the same size), one tile Cholesky per
+//! variant, MLE fit, batch kriging, and the live prediction service under
+//! loadgen — and writes the JSON record to `XGS_BENCH_OUT`, conventionally
 //! `results/BENCH_<pr>.json` so successive PRs leave a comparable trail
 //! (the record's `"pr"` is read from that file name, `null` for any other
 //! name). The record names the kernel instantiation the CPU dispatched
@@ -12,6 +12,13 @@
 //! p50/p99 for BOTH frontends (thread-per-connection under `"serve"`,
 //! epoll reactor under `"serve_reactor"`), and the two replays of the same
 //! seeded stream must agree on the response checksum.
+//!
+//! The `"factor"` row times the sequential factorization of DenseF64,
+//! MpDense and MpDenseTlr at a weak-correlation shape where TLR engages
+//! (n = 1600, nb = 160, range 0.02, the demo tile model) and records the
+//! MP+TLR log-likelihood's relative error against FP64. The binary exits
+//! 1, after writing the record, when that error exceeds
+//! [`TLR_LLH_RELERR_MAX`].
 //!
 //! ```text
 //! XGS_BENCH_OUT=results/BENCH_12.json XGS_REPS=5 cargo run -p xgs-bench --release --bin bench_suite
@@ -22,16 +29,23 @@ use std::time::Duration;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use xgs_bench::{demo_model, env_usize, quartiles, random_buffer, timed};
+use xgs_bench::{demo_model, env_usize, quartiles, random_buffer, sites, timed};
 use xgs_cholesky::TiledFactor;
 use xgs_core::mle::FitOptimizer;
-use xgs_core::{fit, krige, FitOptions, ModelFamily, PsoOptions};
+use xgs_core::{fit, krige, log_likelihood, FitOptions, ModelFamily, PsoOptions};
 use xgs_covariance::{jittered_grid, morton_order, Matern, MaternParams};
 use xgs_kernels::{gemm, gemm_naive, kernel_path, Trans};
 use xgs_server::{
     build_plan, loadgen, serve, Frontend, LoadgenConfig, ModelRegistry, ServerConfig,
 };
 use xgs_tile::{SymTileMatrix, TlrConfig, Variant};
+
+/// Sites of the `"factor"` row (10 x 10 tiles of 160).
+const FACTOR_N: usize = 1600;
+
+/// The largest MP+TLR log-likelihood relative error (against FP64) the
+/// `"factor"` row accepts.
+const TLR_LLH_RELERR_MAX: f64 = 1e-7;
 
 fn median_secs(reps: usize, mut f: impl FnMut()) -> f64 {
     let mut secs: Vec<f64> = (0..reps).map(|_| timed(&mut f).1).collect();
@@ -110,14 +124,49 @@ fn main() {
         naive / blocked
     );
 
-    // 2. Fit: a small PSO MLE over the mixed-precision engine.
+    // 2. Factor: one sequential tile Cholesky per variant (generation not
+    // timed) where TLR engages, and each variant's log-likelihood.
+    let flocs = sites(FACTOR_N, 1.0, 3);
+    let fkernel = Matern::new(MaternParams::new(1.0, 0.02, 0.5));
+    let fz = xgs_core::simulate_field(&fkernel, &flocs, 7);
+    let model = demo_model();
+    let mut lr_tiles = 0;
+    let factor_row: Vec<(f64, f64)> = [Variant::DenseF64, Variant::MpDense, Variant::MpDenseTlr]
+        .into_iter()
+        .map(|variant| {
+            let cfg = TlrConfig::new(variant, 160);
+            let mut secs: Vec<f64> = (0..reps)
+                .map(|_| {
+                    let m = SymTileMatrix::generate(&fkernel, &flocs, cfg, &model);
+                    if variant == Variant::MpDenseTlr {
+                        let census = m.census();
+                        lr_tiles = census.lr_f64 + census.lr_f32;
+                    }
+                    let mut f = TiledFactor::from_matrix(m);
+                    timed(|| f.factorize_seq().expect("SPD")).1
+                })
+                .collect();
+            let (_, median, _) = quartiles(&mut secs);
+            let llh = log_likelihood(&fkernel, &flocs, &fz, &cfg, &model, 1)
+                .expect("SPD")
+                .llh;
+            println!(
+                "factor {} n={FACTOR_N}: {median:.3} s, llh {llh}",
+                variant.name()
+            );
+            (median, llh)
+        })
+        .collect();
+    let tlr_relerr = ((factor_row[2].1 - factor_row[0].1) / factor_row[0].1).abs();
+    println!("factor: MP+TLR llh relative error {tlr_relerr:.3e}, {lr_tiles} low-rank tiles");
+
+    // 3. Fit: a small PSO MLE over the mixed-precision engine.
     let n_fit = env_usize("XGS_FIT_N", 400);
     let mut rng = StdRng::seed_from_u64(5);
     let mut locs = jittered_grid(n_fit, &mut rng);
     morton_order(&mut locs);
     let kernel = Matern::new(MaternParams::new(1.0, 0.1, 0.5));
     let z = xgs_core::simulate_field(&kernel, &locs, 6);
-    let model = demo_model();
     let cfg = TlrConfig::new(Variant::MpDense, 64);
     let opts = FitOptions {
         optimizer: FitOptimizer::ParticleSwarm(PsoOptions {
@@ -133,7 +182,7 @@ fn main() {
     });
     println!("fit n={n_fit}: {fit_s:.3} s");
 
-    // 3. Predict: batch kriging throughput against a prebuilt factor.
+    // 4. Predict: batch kriging throughput against a prebuilt factor.
     let n_pred = env_usize("XGS_PRED_N", 1000);
     let factor = {
         let m = SymTileMatrix::generate(&kernel, &locs, cfg, &model);
@@ -152,7 +201,7 @@ fn main() {
         n_pred as f64 / pred_s
     );
 
-    // 4. Serve: in-process server + loadgen, the same loop the CI smoke
+    // 5. Serve: in-process server + loadgen, the same loop the CI smoke
     // step drives across a process boundary — once per frontend, over one
     // shared registry, with the same seeded stream. Identical checksums
     // prove the frontends return bitwise-identical predictions.
@@ -211,6 +260,9 @@ fn main() {
             "\"pool\":{{\"workers\":{},\"jobs\":{},\"inline_jobs\":{},\"steals\":{}}},",
             "\"gemm\":{{\"n\":{},\"naive_s\":{:.6},\"blocked_s\":{:.6},",
             "\"naive_gflops\":{:.3},\"blocked_gflops\":{:.3},\"speedup\":{:.3}}},",
+            "\"factor\":{{\"n\":{},\"nb\":160,\"range\":0.02,\"dense_f64_s\":{:.4},",
+            "\"mp_dense_s\":{:.4},\"mp_dense_tlr_s\":{:.4},\"tlr_lr_tiles\":{},",
+            "\"tlr_llh_relerr\":{:.3e}}},",
             "\"fit\":{{\"n\":{},\"median_s\":{:.4}}},",
             "\"predict\":{{\"points\":{},\"median_s\":{:.4},\"points_per_s\":{:.1}}},",
             "\"serve\":{{\"frontend\":\"threaded\",\"requests\":{},\"throughput_rps\":{:.1},",
@@ -230,6 +282,12 @@ fn main() {
         flops / naive / 1e9,
         flops / blocked / 1e9,
         naive / blocked,
+        FACTOR_N,
+        factor_row[0].0,
+        factor_row[1].0,
+        factor_row[2].0,
+        lr_tiles,
+        tlr_relerr,
         n_fit,
         fit_s,
         n_pred,
@@ -251,4 +309,10 @@ fn main() {
     }
     std::fs::write(&out, &json).expect("write bench json");
     println!("wrote {out}");
+    if tlr_relerr.is_nan() || tlr_relerr > TLR_LLH_RELERR_MAX {
+        eprintln!(
+            "error: MP+TLR log-likelihood relative error {tlr_relerr:.3e} exceeds {TLR_LLH_RELERR_MAX:e}"
+        );
+        std::process::exit(1);
+    }
 }

@@ -172,7 +172,13 @@ pub fn syrk_diag(a_ik: &Tile, c_ii: &mut Tile) {
 /// its precision decides the arithmetic.
 ///
 /// `tol` is the absolute rounding tolerance for low-rank additions on this
-/// tile (frozen at generation).
+/// tile (frozen at generation). Before the receiver's precision is
+/// enforced, a low-rank result is within `2 tol` (Frobenius) of the exact
+/// `C_ij - A_ik B_jk^T`: with a low-rank operand the product is exact and
+/// the rounded addition truncates at `tol`; with two dense operands the
+/// updated tile is formed densely and compressed by ACA, always ACA
+/// whatever [`xgs_tile::Compressor`] generated the matrix, within `2 tol`
+/// ([`LowRank::compress_aca`]).
 pub fn gemm_update(a_ik: &Tile, b_jk: &Tile, c_ij: &mut Tile, tol: f64) {
     let p = c_ij.precision;
     match &mut c_ij.storage {
@@ -180,42 +186,59 @@ pub fn gemm_update(a_ik: &Tile, b_jk: &Tile, c_ij: &mut Tile, tol: f64) {
             gemm_into_dense(a_ik, b_jk, c, p);
         }
         TileStorage::LowRank(c_lr) => {
-            // Form the product as a low-rank object, then rounded-add.
-            let prod: LowRank = match (&a_ik.storage, &b_jk.storage) {
+            note_operand_conversion(a_ik, p);
+            note_operand_conversion(b_jk, p);
+            // Low-rank operands: form the product as a low-rank object,
+            // then rounded-add.
+            *c_lr = match (&a_ik.storage, &b_jk.storage) {
                 (TileStorage::LowRank(a), TileStorage::LowRank(b)) => {
-                    note_operand_conversion(a_ik, p);
-                    note_operand_conversion(b_jk, p);
-                    a.matmul_lr_transposed(b)
+                    c_lr.add_rounded(-1.0, &a.matmul_lr_transposed(b), tol)
                 }
                 (TileStorage::LowRank(a), TileStorage::Dense(b)) => {
-                    note_operand_conversion(a_ik, p);
-                    note_operand_conversion(b_jk, p);
                     // (U V^T) B^T = U (B V)^T.
-                    LowRank {
+                    let prod = LowRank {
                         u: a.u.clone(),
                         v: b.matmul(&a.v),
-                    }
+                    };
+                    c_lr.add_rounded(-1.0, &prod, tol)
                 }
                 (TileStorage::Dense(a), TileStorage::LowRank(b)) => {
-                    note_operand_conversion(a_ik, p);
-                    note_operand_conversion(b_jk, p);
                     // A (U V^T)^T = A V U^T = (A V) U^T.
-                    LowRank {
+                    let prod = LowRank {
                         u: a.matmul(&b.v),
                         v: b.u.clone(),
-                    }
+                    };
+                    c_lr.add_rounded(-1.0, &prod, tol)
                 }
                 (TileStorage::Dense(a), TileStorage::Dense(b)) => {
-                    // Dense x dense hitting a low-rank tile: form the dense
-                    // product and compress at the tile tolerance (rare; only
-                    // when the structure rule reverted both panel tiles).
-                    note_operand_conversion(a_ik, p);
-                    note_operand_conversion(b_jk, p);
-                    let prod = a.matmul_t(b);
-                    LowRank::compress_svd(&prod, tol)
+                    // A_ik lies off the dense band like the receiver, so
+                    // the structure rule reverted it to dense. The product
+                    // has full rank: update the tile densely and compress
+                    // it once. Not rare: on a
+                    // 2400-site weak-correlation problem with 160-tiles this
+                    // branch ran 8 times, and compressing each product with
+                    // a full-tile Jacobi SVD took about 80% of the TLR
+                    // factorization.
+                    let mut d = c_lr.reconstruct();
+                    let (m, n) = d.shape();
+                    gemm(
+                        Trans::No,
+                        Trans::Yes,
+                        m,
+                        n,
+                        a.cols(),
+                        -1.0,
+                        a.as_slice(),
+                        m,
+                        b.as_slice(),
+                        n,
+                        1.0,
+                        d.as_mut_slice(),
+                        m,
+                    );
+                    LowRank::compress_aca(&d, tol)
                 }
             };
-            *c_lr = c_lr.add_rounded(-1.0, &prod, tol);
         }
     }
     c_ij.enforce_precision();
@@ -451,6 +474,56 @@ mod tests {
                 "{label}: err {err}"
             );
         }
+    }
+
+    /// The dense x dense branch on real tiles: 2400 Matérn sites (range
+    /// 0.02, ν = 0.5) in 160-tiles under the demo-scale tile model, where
+    /// the structure rule reverts some off-band tiles to dense. Every
+    /// low-rank receiver with two dense panel operands must land within
+    /// `2 tol` of the exact dense update.
+    #[test]
+    fn dense_operands_update_low_rank_receiver_within_two_tol() {
+        use rand::{rngs::StdRng, SeedableRng};
+        use xgs_covariance::{jittered_grid, morton_order, Matern, MaternParams};
+        use xgs_tile::{FlopKernelModel, SymTileMatrix, TlrConfig, Variant};
+
+        let mut locs = jittered_grid(2400, &mut StdRng::seed_from_u64(1));
+        morton_order(&mut locs);
+        let kernel = Matern::new(MaternParams::new(1.0, 0.02, 0.5));
+        let model = FlopKernelModel {
+            dense_rate: 45.0e9,
+            mem_factor: 1.0,
+        };
+        let cfg = TlrConfig::new(Variant::MpDenseTlr, 160);
+        let m = SymTileMatrix::generate(&kernel, &locs, cfg, &model);
+        let nt = m.nt();
+        let mut checked = 0;
+        for k in 0..nt {
+            for j in k + 1..nt {
+                for i in j + 1..nt {
+                    let (a, b) = (m.tile(i, k), m.tile(j, k));
+                    if !a.is_dense() || !b.is_dense() || m.tile(i, j).is_dense() {
+                        continue;
+                    }
+                    // Judge the compression alone: no precision rounding.
+                    let mut c = m.tile(i, j).clone();
+                    c.precision = Precision::F64;
+                    let tol = cfg.tlr_tolerance * c.norm_fro();
+                    let exact = c
+                        .to_dense()
+                        .add_scaled(-1.0, &a.to_dense().matmul_t(&b.to_dense()));
+                    gemm_update(a, b, &mut c, tol);
+                    assert!(!c.is_dense(), "the receiver stays low-rank");
+                    let err = c.to_dense().add_scaled(-1.0, &exact).norm_fro();
+                    assert!(
+                        err <= 2.0 * tol,
+                        "({i},{j},{k}): err {err:e} > 2 tol {tol:e}"
+                    );
+                    checked += 1;
+                }
+            }
+        }
+        assert!(checked > 0, "no low-rank receiver with two dense operands");
     }
 
     #[test]

@@ -1,8 +1,10 @@
 //! The dispatched kernels against their generic instantiation, bit for bit,
 //! at sizes on both sides of every blocking constant: `BLOCK_MIN_MK`
 //! (48 x 48), the `MR`/`NR` register tile (8 x 4), `KC` (256), `MC` (128)
-//! and the `NB` = 64 diagonal blocks of POTRF, SYRK and TRSM. On a CPU
-//! without AVX2+FMA both sides run the generic instantiation.
+//! and the `NB` = 64 diagonal blocks of POTRF, SYRK and TRSM; and for the
+//! decomposition bodies of `decomp`, the 4-column reflector block and the
+//! 8-lane ACA pass. On a CPU without AVX2+FMA both sides run the generic
+//! instantiation.
 
 use crate::gemm::{generic_only, kernel_path};
 use crate::{
@@ -214,5 +216,69 @@ fn dispatched_shgemm_is_bitwise_generic() {
                 |c| shgemm(ta, tb, m, n, k, 0.9, &a, ar, &b, br, 0.5, c, m),
             );
         }
+    }
+}
+
+/// Reflector lengths and column counts on both sides of the 4-column
+/// block; the leading dimension pads each column by 2.
+#[test]
+fn dispatched_householder_is_bitwise_generic() {
+    for len in [1, 2, 7, 64, 161] {
+        for ncols in [1, 3, 4, 5, 8, 9, 63] {
+            let v = fill::<f64>(len, 13);
+            let ldc = len + 2;
+            check(
+                &format!("householder {len}x{ncols}"),
+                &fill::<f64>(ldc * ncols, 14),
+                |c| crate::apply_householder(&v, 1.3, ncols, c, ldc),
+            );
+        }
+    }
+}
+
+/// Three sweeps over a square and a tall block; the buffer holds `w`,
+/// then `v`, then each sweep's convergence measure.
+#[test]
+fn dispatched_jacobi_sweep_is_bitwise_generic() {
+    for (rows, n) in [(1, 1), (5, 5), (9, 4), (64, 64), (70, 33)] {
+        let mut init = fill::<f64>(rows * n, 15);
+        for j in 0..n {
+            init.extend((0..n).map(|i| if i == j { 1.0 } else { 0.0 }));
+        }
+        init.extend([0.0; 3]);
+        check(&format!("jacobi sweep {rows}x{n}"), &init, |buf| {
+            let (w, rest) = buf.split_at_mut(rows * n);
+            let (v, offs) = rest.split_at_mut(n * n);
+            for off in offs {
+                *off = crate::jacobi_sweep(rows, n, w, n, v);
+            }
+        });
+    }
+}
+
+/// A scan and four crosses over residuals whose heights sit on and beside
+/// the 8-lane pass; the buffer holds the residual, each cross's `u` and
+/// `v`, and each pass's sum of squares and pivot.
+#[test]
+fn dispatched_aca_steps_are_bitwise_generic() {
+    const CROSSES: usize = 4;
+    for (m, n) in [(1, 5), (7, 9), (8, 8), (9, 4), (160, 160), (161, 20)] {
+        let mut init = fill::<f64>(m * n, 16);
+        init.resize(m * n + CROSSES * (m + n + 2) + 2, 0.0);
+        check(&format!("aca {m}x{n}"), &init, |buf| {
+            let (r, mut out) = buf.split_at_mut(m * n);
+            let (mut sq, mut piv) = crate::aca_scan(r, m);
+            for _ in 0..CROSSES.min(m).min(n) {
+                let (u, rest) = out.split_at_mut(m);
+                let (v, rest) = rest.split_at_mut(n);
+                let (step, rest) = rest.split_at_mut(2);
+                step[0] = sq;
+                step[1] = piv as f64;
+                (sq, piv) = crate::aca_cross(r, m, piv, u, v);
+                out = rest;
+            }
+            out[0] = sq;
+            out[1] = piv as f64;
+        });
     }
 }

@@ -12,10 +12,15 @@
 //!   operands of the GEMM kernel to FP16 and call an SGEMM BLAS routine to
 //!   accumulate in FP32").
 //!
+//! [`decomp`] adds the FP64 loop bodies of the decompositions behind TLR
+//! compression (Householder QR, one-sided Jacobi SVD, ACA), so they share
+//! the kernels' instruction-set dispatch.
+//!
 //! All matrices are column-major with an explicit leading dimension, exactly
 //! like LAPACK, so a tile is addressed as `a[i + j * lda]`.
 
 pub mod convert;
+pub mod decomp;
 #[cfg(test)]
 mod dispatch_tests;
 pub mod gemm;
@@ -29,6 +34,7 @@ pub use convert::{
     demote_f32_to_f16, demote_f64_to_f16, demote_f64_to_f32, promote_f16_to_f32,
     promote_f16_to_f64, promote_f32_to_f64,
 };
+pub use decomp::{aca_cross, aca_scan, apply_householder, jacobi_sweep};
 pub use gemm::{gemm, gemm_naive, gemm_notrans, kernel_path, shgemm, Trans};
 pub use half::Half;
 pub use potrf::{potrf, potrf_unblocked, PotrfError};

@@ -14,13 +14,16 @@
 //! tests.
 
 use crate::matrix::Matrix;
+use xgs_kernels::{aca_cross, aca_scan};
 
 /// Full-pivot ACA to absolute Frobenius tolerance `tol`.
 ///
 /// Returns `(U, V)` with `||A - U V^T||_F <= tol`, rank at most `max_rank`
 /// (at `max_rank` the guarantee is only best-effort; callers cap with
-/// `min(m, n)` for an exact fallback).
-#[allow(clippy::needless_range_loop)]
+/// `min(m, n)` for an exact fallback). Each cross — pivot search, rank-1
+/// residual update, residual norm — is one pass of
+/// [`xgs_kernels::aca_cross`], the dispatched kernel body; the pivot is the
+/// first column-major largest `|entry|`.
 pub fn aca(a: &Matrix, tol: f64, max_rank: usize) -> (Matrix, Matrix) {
     let (m, n) = a.shape();
     let kmax = max_rank.min(m.min(n));
@@ -28,7 +31,45 @@ pub fn aca(a: &Matrix, tol: f64, max_rank: usize) -> (Matrix, Matrix) {
     let mut us: Vec<Vec<f64>> = Vec::new();
     let mut vs: Vec<Vec<f64>> = Vec::new();
 
-    // Residual norm^2, updated incrementally after each cross subtraction.
+    // Residual norm^2 and the next pivot, refreshed by every cross.
+    let (mut res_sq, mut pivot) = aca_scan(residual.as_slice(), m);
+    for _k in 0..kmax {
+        if res_sq.max(0.0).sqrt() <= tol || residual.as_slice()[pivot] == 0.0 {
+            break; // converged, or the residual is exactly zero
+        }
+        let mut u = vec![0.0; m];
+        let mut v = vec![0.0; n];
+        (res_sq, pivot) = aca_cross(residual.as_mut_slice(), m, pivot, &mut u, &mut v);
+        us.push(u);
+        vs.push(v);
+    }
+    stack_columns(m, n, &us, &vs)
+}
+
+/// The cross columns gathered into the `m x k` and `n x k` factors.
+fn stack_columns(m: usize, n: usize, us: &[Vec<f64>], vs: &[Vec<f64>]) -> (Matrix, Matrix) {
+    let k = us.len();
+    let mut u = Matrix::zeros(m, k);
+    let mut v = Matrix::zeros(n, k);
+    for (j, (ucol, vcol)) in us.iter().zip(vs).enumerate() {
+        u.col_mut(j).copy_from_slice(ucol);
+        v.col_mut(j).copy_from_slice(vcol);
+    }
+    (u, v)
+}
+
+/// The scalar ACA the dispatched cross kernel replaced: the bitwise oracle
+/// of [`aca`] (its residual norm is a sequential sum, so only a stopping
+/// test balanced on the tolerance could tell the two apart).
+#[cfg(test)]
+#[allow(clippy::needless_range_loop)]
+pub(crate) fn aca_oracle(a: &Matrix, tol: f64, max_rank: usize) -> (Matrix, Matrix) {
+    let (m, n) = a.shape();
+    let kmax = max_rank.min(m.min(n));
+    let mut residual = a.clone();
+    let mut us: Vec<Vec<f64>> = Vec::new();
+    let mut vs: Vec<Vec<f64>> = Vec::new();
+
     let mut res_sq: f64 = residual.as_slice().iter().map(|x| x * x).sum();
 
     for _k in 0..kmax {
@@ -67,15 +108,7 @@ pub fn aca(a: &Matrix, tol: f64, max_rank: usize) -> (Matrix, Matrix) {
         us.push(u);
         vs.push(v);
     }
-
-    let k = us.len();
-    let mut u = Matrix::zeros(m, k);
-    let mut v = Matrix::zeros(n, k);
-    for (j, (ucol, vcol)) in us.iter().zip(&vs).enumerate() {
-        u.col_mut(j).copy_from_slice(ucol);
-        v.col_mut(j).copy_from_slice(vcol);
-    }
-    (u, v)
+    stack_columns(m, n, &us, &vs)
 }
 
 #[cfg(test)]

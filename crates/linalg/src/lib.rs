@@ -13,6 +13,8 @@ pub mod aca;
 pub mod cholesky;
 pub mod lowrank;
 pub mod matrix;
+#[cfg(test)]
+mod oracle_tests;
 pub mod qr;
 pub mod rsvd;
 pub mod svd;

@@ -29,6 +29,10 @@ impl LowRank {
     }
 
     /// Compress with ACA followed by a rounding pass (the production path).
+    ///
+    /// `||A - U V^T||_F <= 2 tol` up to floating-point rounding: ACA stops
+    /// once its residual is at most `tol`, and the rounding pass truncates
+    /// at `tol` again.
     pub fn compress_aca(a: &Matrix, tol: f64) -> LowRank {
         let (u, v) = crate::aca::aca(a, tol, a.rows().min(a.cols()));
         let lr = LowRank { u, v };

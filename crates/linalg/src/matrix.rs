@@ -320,13 +320,6 @@ pub fn norm2_scaled(x: &[f64]) -> f64 {
     scale * ssq.sqrt()
 }
 
-/// Dot product of two slices.
-#[inline]
-pub fn dot(a: &[f64], b: &[f64]) -> f64 {
-    debug_assert_eq!(a.len(), b.len());
-    a.iter().zip(b).map(|(x, y)| x * y).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -5,6 +5,7 @@
 //! with thin QR before an SVD of the small core.
 
 use crate::matrix::Matrix;
+use xgs_kernels::apply_householder;
 
 /// Thin QR factors: `A (m x n) = Q (m x k) * R (k x n)` with `k = min(m,n)`.
 pub struct QrFactors {
@@ -12,9 +13,87 @@ pub struct QrFactors {
     pub r: Matrix,
 }
 
-/// Householder QR with explicit thin-`Q` formation.
-#[allow(clippy::needless_range_loop)]
+/// Householder QR with explicit thin-`Q` formation. Each reflector is
+/// applied to the trailing columns (and later to thin `Q`) by
+/// [`xgs_kernels::apply_householder`], the dispatched kernel body.
 pub fn householder_qr(a: &Matrix) -> QrFactors {
+    let (m, n) = a.shape();
+    let k = m.min(n);
+    let mut r = a.clone();
+    // Householder vectors stored below the diagonal of `r`, taus aside
+    // (H_j = I - tau_j v_j v_j^T).
+    let mut taus = vec![0.0f64; k];
+
+    for j in 0..k {
+        // Build the reflector from r[j.., j].
+        let (tau, _rdiag) = make_householder(&mut r.as_mut_slice()[j * m + j..(j + 1) * m]);
+        taus[j] = tau;
+        // Apply to trailing columns: r[j.., j+1..] -= tau * v (v^T r).
+        if tau != 0.0 && j + 1 < n {
+            let (head, trailing) = r.as_mut_slice().split_at_mut((j + 1) * m);
+            apply_householder(&head[j * m + j..], tau, n - j - 1, &mut trailing[j..], m);
+        }
+    }
+
+    // Accumulate thin Q by applying reflectors to the first k columns of I,
+    // in reverse order. Reflector j leaves columns c < j alone: their rows
+    // j.. are still exact +0.0, so the update would subtract a zero. Q
+    // never holds a -0.0 (subtraction yields -0.0 only from a -0.0), so
+    // the kernel's +0.0-started dot products equal plain ones here.
+    let mut q = Matrix::zeros(m, k);
+    for j in 0..k {
+        q[(j, j)] = 1.0;
+    }
+    for j in (0..k).rev() {
+        if taus[j] != 0.0 {
+            let v = &r.as_slice()[j * m + j..(j + 1) * m];
+            apply_householder(v, taus[j], k - j, &mut q.as_mut_slice()[j * m + j..], m);
+        }
+    }
+
+    // Extract upper-triangular R (k x n).
+    let mut rr = Matrix::zeros(k, n);
+    for j in 0..n {
+        for i in 0..=j.min(k - 1) {
+            rr[(i, j)] = r[(i, j)];
+        }
+    }
+    QrFactors { q, r: rr }
+}
+
+/// Turn `x` into a Householder vector in place (LAPACK `dlarfg` style):
+/// on return `x[0]` holds the resulting `R` diagonal entry, `x[1..]` the
+/// reflector tail (with implicit leading 1); returns `(tau, rdiag)`.
+#[allow(clippy::needless_range_loop)]
+fn make_householder(x: &mut [f64]) -> (f64, f64) {
+    let n = x.len();
+    if n == 0 {
+        return (0.0, 0.0);
+    }
+    let alpha = x[0];
+    let xnorm = crate::matrix::norm2_scaled(&x[1..]);
+    if xnorm == 0.0 {
+        // Already upper-triangular in this column; reflector is identity.
+        return (0.0, alpha);
+    }
+    let mut beta_val = -(alpha.hypot(xnorm)).copysign(alpha);
+    if beta_val == 0.0 {
+        beta_val = -f64::MIN_POSITIVE;
+    }
+    let tau = (beta_val - alpha) / beta_val;
+    let inv = 1.0 / (alpha - beta_val);
+    for t in 1..n {
+        x[t] *= inv;
+    }
+    x[0] = beta_val;
+    (tau, beta_val)
+}
+
+/// The scalar Householder QR the dispatched reflector kernel replaced: the
+/// bitwise oracle of [`householder_qr`].
+#[cfg(test)]
+#[allow(clippy::needless_range_loop)]
+pub(crate) fn householder_qr_oracle(a: &Matrix) -> QrFactors {
     let (m, n) = a.shape();
     let k = m.min(n);
     let mut r = a.clone();
@@ -91,34 +170,6 @@ pub fn householder_qr(a: &Matrix) -> QrFactors {
         }
     }
     QrFactors { q, r: rr }
-}
-
-/// Turn `x` into a Householder vector in place (LAPACK `dlarfg` style):
-/// on return `x[0]` holds the resulting `R` diagonal entry, `x[1..]` the
-/// reflector tail (with implicit leading 1); returns `(tau, rdiag)`.
-#[allow(clippy::needless_range_loop)]
-fn make_householder(x: &mut [f64]) -> (f64, f64) {
-    let n = x.len();
-    if n == 0 {
-        return (0.0, 0.0);
-    }
-    let alpha = x[0];
-    let xnorm = crate::matrix::norm2_scaled(&x[1..]);
-    if xnorm == 0.0 {
-        // Already upper-triangular in this column; reflector is identity.
-        return (0.0, alpha);
-    }
-    let mut beta_val = -(alpha.hypot(xnorm)).copysign(alpha);
-    if beta_val == 0.0 {
-        beta_val = -f64::MIN_POSITIVE;
-    }
-    let tau = (beta_val - alpha) / beta_val;
-    let inv = 1.0 / (alpha - beta_val);
-    for t in 1..n {
-        x[t] *= inv;
-    }
-    x[0] = beta_val;
-    (tau, beta_val)
 }
 
 #[cfg(test)]

@@ -1,12 +1,21 @@
 //! Singular value decomposition via one-sided Jacobi.
 //!
-//! One-sided Jacobi is simple, numerically robust, and plenty fast for the
-//! tile sizes TLR compression works on (tens to a few hundred); it is the
-//! oracle against which the faster ACA compressor is validated, and the
-//! engine of the low-rank recompression ("rounding") step.
+//! One-sided Jacobi is simple and numerically robust. It is the oracle
+//! against which the ACA compressor is validated, and the engine of the
+//! low-rank recompression ("rounding") step, where it only ever sees the
+//! small `k x k` core. It is *not* cheap on a full tile: a full-rank
+//! 160 x 160 SVD takes tens of milliseconds on one x86 core, more than ten
+//! ACA compressions of such a tile. So the TLR factorization never runs it
+//! on a dense tile: `compress_svd` is only a generation option, and the
+//! Cholesky GEMM compresses dense updates with ACA. The sweeps run in
+//! [`xgs_kernels::jacobi_sweep`], the dispatched kernel body.
 
-use crate::matrix::{dot, norm2_scaled, Matrix};
-use crate::qr::householder_qr;
+use crate::matrix::{norm2_scaled, Matrix};
+use crate::qr::{householder_qr, QrFactors};
+use xgs_kernels::jacobi_sweep;
+
+/// Sweep cap of the Jacobi iteration.
+const MAX_SWEEPS: usize = 60;
 
 /// Thin SVD: `A (m x n) = U (m x k) * diag(s) * V^T (k x n)`, `k = min(m,n)`,
 /// singular values sorted descending.
@@ -54,10 +63,21 @@ impl Svd {
 /// `n x n` problem. Sweeps rotate column pairs until all off-diagonal
 /// Gram entries are negligible.
 pub fn jacobi_svd(a: &Matrix) -> Svd {
+    jacobi_svd_by(a, householder_qr, |n, w, v| jacobi_sweep(n, n, w, n, v))
+}
+
+/// [`jacobi_svd`] over a given QR and sweep (`sweep(n, w, v)` runs one
+/// sweep over the `n x n` `w` and `v`, returning the convergence measure),
+/// so the tests can run it on the scalar oracles.
+fn jacobi_svd_by(
+    a: &Matrix,
+    qr: fn(&Matrix) -> QrFactors,
+    sweep: fn(usize, &mut [f64], &mut [f64]) -> f64,
+) -> Svd {
     let (m, n) = a.shape();
     if m < n {
         // Work on the transpose and swap U/V.
-        let svd = jacobi_svd(&a.transpose());
+        let svd = jacobi_svd_by(&a.transpose(), qr, sweep);
         return Svd {
             u: svd.v,
             s: svd.s,
@@ -73,39 +93,12 @@ pub fn jacobi_svd(a: &Matrix) -> Svd {
     }
 
     // QR preconditioning: A = Q R, SVD of R (n x n), U = Q * U_r.
-    let qr = householder_qr(a);
+    let qr = qr(a);
     let mut w = qr.r.clone(); // n x n working copy, columns become U*S
     let mut v = Matrix::identity(n);
 
-    let eps = f64::EPSILON;
-    let max_sweeps = 60;
-    for _sweep in 0..max_sweeps {
-        let mut off = 0.0f64;
-        for p in 0..n {
-            for q in (p + 1)..n {
-                // Gram entries of columns p, q.
-                let (app, aqq, apq) = {
-                    let cp = w.col(p);
-                    let cq = w.col(q);
-                    (dot(cp, cp), dot(cq, cq), dot(cp, cq))
-                };
-                let denom = (app * aqq).sqrt();
-                if denom > 0.0 {
-                    off = off.max(apq.abs() / denom);
-                }
-                if apq.abs() <= eps * denom || denom == 0.0 {
-                    continue;
-                }
-                // Jacobi rotation zeroing the (p,q) Gram entry.
-                let zeta = (aqq - app) / (2.0 * apq);
-                let t = zeta.signum() / (zeta.abs() + (1.0 + zeta * zeta).sqrt());
-                let c = 1.0 / (1.0 + t * t).sqrt();
-                let s = c * t;
-                rotate_cols(&mut w, p, q, c, s);
-                rotate_cols(&mut v, p, q, c, s);
-            }
-        }
-        if off <= eps * 8.0 {
+    for _sweep in 0..MAX_SWEEPS {
+        if sweep(n, w.as_mut_slice(), v.as_mut_slice()) <= f64::EPSILON * 8.0 {
             break;
         }
     }
@@ -137,27 +130,6 @@ pub fn jacobi_svd(a: &Matrix) -> Svd {
     }
 }
 
-fn rotate_cols(m: &mut Matrix, p: usize, q: usize, c: f64, s: f64) {
-    let rows = m.rows();
-    let (pc, qc) = {
-        let data = m.as_mut_slice();
-        let (lo, hi) = if p < q {
-            let (a, b) = data.split_at_mut(q * rows);
-            (&mut a[p * rows..p * rows + rows], &mut b[..rows])
-        } else {
-            let (a, b) = data.split_at_mut(p * rows);
-            (&mut b[..rows], &mut a[q * rows..q * rows + rows])
-        };
-        (lo, hi)
-    };
-    for (x, y) in pc.iter_mut().zip(qc.iter_mut()) {
-        let xp = c * *x - s * *y;
-        let yq = s * *x + c * *y;
-        *x = xp;
-        *y = yq;
-    }
-}
-
 /// Rank-truncated SVD approximation to absolute Frobenius tolerance `tol`:
 /// returns `(U*sqrt(S), V*sqrt(S))`-style factors — concretely `(U_k scaled
 /// by s_k, V_k)` such that `A ≈ U V^T` — along with the chosen rank.
@@ -176,6 +148,57 @@ pub fn truncated_svd(a: &Matrix, tol: f64) -> (Matrix, Matrix, usize) {
         }
     }
     (u, v, k)
+}
+
+/// The scalar Jacobi SVD the dispatched sweep replaced: the bitwise
+/// oracle of [`jacobi_svd`].
+#[cfg(test)]
+pub(crate) fn jacobi_svd_oracle(a: &Matrix) -> Svd {
+    jacobi_svd_by(a, crate::qr::householder_qr_oracle, oracle_sweep)
+}
+
+#[cfg(test)]
+fn oracle_sweep(n: usize, w: &mut [f64], v: &mut [f64]) -> f64 {
+    let dot = |a: &[f64], b: &[f64]| -> f64 { a.iter().zip(b).map(|(x, y)| x * y).sum() };
+    let eps = f64::EPSILON;
+    let mut off = 0.0f64;
+    for p in 0..n {
+        for q in (p + 1)..n {
+            // Gram entries of columns p, q.
+            let (app, aqq, apq) = {
+                let cp = &w[p * n..(p + 1) * n];
+                let cq = &w[q * n..(q + 1) * n];
+                (dot(cp, cp), dot(cq, cq), dot(cp, cq))
+            };
+            let denom = (app * aqq).sqrt();
+            if denom > 0.0 {
+                off = off.max(apq.abs() / denom);
+            }
+            if apq.abs() <= eps * denom || denom == 0.0 {
+                continue;
+            }
+            // Jacobi rotation zeroing the (p,q) Gram entry.
+            let zeta = (aqq - app) / (2.0 * apq);
+            let t = zeta.signum() / (zeta.abs() + (1.0 + zeta * zeta).sqrt());
+            let c = 1.0 / (1.0 + t * t).sqrt();
+            let s = c * t;
+            rotate_cols(w, n, p, q, c, s);
+            rotate_cols(v, n, p, q, c, s);
+        }
+    }
+    off
+}
+
+#[cfg(test)]
+fn rotate_cols(m: &mut [f64], rows: usize, p: usize, q: usize, c: f64, s: f64) {
+    let (a, b) = m.split_at_mut(q * rows);
+    let (pc, qc) = (&mut a[p * rows..p * rows + rows], &mut b[..rows]);
+    for (x, y) in pc.iter_mut().zip(qc.iter_mut()) {
+        let xp = c * *x - s * *y;
+        let yq = s * *x + c * *y;
+        *x = xp;
+        *y = yq;
+    }
 }
 
 #[cfg(test)]
