@@ -23,9 +23,8 @@ pub mod solve;
 pub use dag::{cholesky_dag, DagOptions, DagStats};
 pub use factor::{FactorError, TiledFactor};
 pub use shard::{
-    admit_worker, grid_shape, project_wire_census, project_wire_census_warm, spawn_local_workers,
-    spawn_workers, tile_wire_frame_bytes, worker_loop, worker_loop_with, ChaosSpec, JoinInfo,
-    NoReplacement, ReplacementOrigin, ReplacementSource, ReplacementWorker, ShardBackend,
-    ShardError, ShardOptions, ShardProcesses, ShardReport, ShardRunner, WorkerOptions,
+    admit_worker, grid_shape, project_wire_census_warm, tile_wire_frame_bytes, worker_loop_with,
+    ChaosSpec, JoinInfo, ReplacementOrigin, ReplacementSource, ReplacementWorker, ShardBackend,
+    ShardError, ShardOptions, ShardReport, WorkerOptions,
 };
 pub use solve::{logdet, solve_lower, solve_lower_transpose};

@@ -33,15 +33,16 @@
 //! | `TILE`      | both | `i, j, tile bytes` ([`xgs_tile::wire`]) |
 //! | `TASK`      | c→w | `kind, task_id, k, i, j, tol, publish` |
 //! | `DONE`      | w→c | `task_id, kind, ok, pivot, elapsed` |
-//! | `SHUTDOWN`  | c→w | empty |
-//! | `BYE`       | w→c | `tasks_executed` |
+//! | 5, 6        | —   | retired (`SHUTDOWN`/`BYE` of protocol 2); never reused |
 //! | `JOIN`      | w→c | `version, cores, precision_mask` |
 //! | `HEARTBEAT` | c→w `nonce`, w→c `nonce, tasks_executed` |
 //! | `ASSIGN`    | c→w | `version, member_id, role` |
 //!
 //! `JOIN`/`ASSIGN` form the registration handshake a worker performs once
 //! per connection, before any `HELLO` ([`admit_worker`]); `HEARTBEAT` is
-//! the liveness probe and the warm-fleet end-of-run census carrier.
+//! the liveness probe and the end-of-run census carrier. Connections stay
+//! warm between factorizations: a worker resets its state on each `HELLO`
+//! and exits only when the coordinator closes the socket.
 //! Variable-length payload decoding is forward-compatible: a decoder
 //! accepts any payload at least as long as the fields it knows and
 //! ignores trailing bytes, so the protocol can grow fields; the leading
@@ -65,9 +66,8 @@ use crate::factor::{FactorError, TiledFactor};
 use crate::kernels::{gemm_update, potrf_diag, syrk_diag, trsm_panel};
 use std::collections::HashMap;
 use std::io;
-use std::net::{TcpListener, TcpStream};
-use std::path::PathBuf;
-use std::process::{Child, Command, Stdio};
+use std::net::TcpStream;
+use std::process::Command;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
@@ -91,8 +91,9 @@ pub const K_HELLO: u8 = 1;
 pub const K_TILE: u8 = 2;
 pub const K_TASK: u8 = 3;
 pub const K_DONE: u8 = 4;
-pub const K_SHUTDOWN: u8 = 5;
-pub const K_BYE: u8 = 6;
+// Kinds 5 and 6 were the one-shot SHUTDOWN/BYE drain of protocol 2. They
+// are retired, never to be reused: a worker answers them with the
+// "unexpected frame kind" error like any other unknown kind.
 pub const K_JOIN: u8 = 7;
 pub const K_HEARTBEAT: u8 = 8;
 pub const K_ASSIGN: u8 = 9;
@@ -101,7 +102,7 @@ pub const K_ASSIGN: u8 = 9;
 /// whenever a frame layout changes incompatibly; both sides reject a
 /// mismatched peer with a protocol error naming the two versions instead
 /// of mis-decoding a garbled frame.
-pub const PROTO_VERSION: u8 = 2;
+pub const PROTO_VERSION: u8 = 3;
 
 const KIND_POTRF: u8 = 0;
 const KIND_TRSM: u8 = 1;
@@ -120,13 +121,13 @@ pub const TILE_COORD_BYTES: usize = 8;
 const HELLO_PAYLOAD_BYTES: usize = 29;
 const TASK_PAYLOAD_BYTES: usize = 30;
 const DONE_PAYLOAD_BYTES: usize = 26;
-const BYE_PAYLOAD_BYTES: usize = 8;
 const JOIN_PAYLOAD_BYTES: usize = 6;
 const ASSIGN_PAYLOAD_BYTES: usize = 6;
 const HEARTBEAT_PING_BYTES: usize = 8;
 const HEARTBEAT_ECHO_BYTES: usize = 16;
 
-/// Metrics keys of the frame kinds, indexed `K_* - 1`.
+/// Metrics keys of the frame kinds, indexed `K_* - 1`. The retired kinds
+/// keep their names so the slots stay aligned.
 const FRAME_KIND_NAMES: [&str; 9] = [
     "hello",
     "tile",
@@ -264,9 +265,9 @@ pub struct ShardOptions {
     /// Process grid: `grid_p * grid_q` must equal the worker count.
     pub grid_p: usize,
     pub grid_q: usize,
-    /// Wall-clock budget for the whole factorization, including worker
-    /// drain. On expiry the coordinator aborts with [`ShardError::Timeout`]
-    /// rather than hanging on a wedged worker.
+    /// Wall-clock budget for the whole factorization, including the
+    /// end-of-run `HEARTBEAT` census. On expiry the coordinator aborts with
+    /// [`ShardError::Timeout`] rather than hanging on a wedged worker.
     pub deadline: Duration,
     /// Run the completion order through the hazard-edge validator
     /// (default: on in debug builds, like the shared-memory executor).
@@ -281,14 +282,6 @@ pub struct ShardOptions {
     /// builds, opt-in in release via `XGS_PRECHECK=1` (see
     /// [`xgs_runtime::precheck_env_default`]).
     pub precheck: bool,
-    /// Leave workers warm after the run instead of draining them with
-    /// `SHUTDOWN`/`BYE`: the end-of-run census rides a `HEARTBEAT`
-    /// exchange (whose echo carries the executed-task count `BYE` would),
-    /// the sockets stay open, and the same fleet serves the next
-    /// factorization after a state-resetting `HELLO`. This is how the
-    /// persistent fleet (`xgs-fleet`) avoids paying process spawn per
-    /// factorization.
-    pub persistent: bool,
 }
 
 impl ShardOptions {
@@ -301,7 +294,6 @@ impl ShardOptions {
             deadline: Duration::from_secs(120),
             validate: cfg!(debug_assertions),
             precheck: precheck_env_default(),
-            persistent: false,
         }
     }
 }
@@ -327,8 +319,8 @@ pub struct ShardReport {
     /// Same schema as the in-process executor's metrics: per-kernel stats
     /// from worker-reported task timings, per-worker busy/task counters.
     pub metrics: MetricsReport,
-    /// Tasks each worker reported executing at shutdown (`BYE`); verified
-    /// against the block-cyclic census of the DAG.
+    /// Tasks each worker reported executing in its end-of-run `HEARTBEAT`
+    /// echo; verified against the block-cyclic census of the DAG.
     pub worker_tasks: Vec<u64>,
 }
 
@@ -386,9 +378,9 @@ pub enum ChaosTrigger {
     /// it: `TaskStart(0)` dies while the coordinator is still seeding its
     /// first panel, a mid-range value dies mid-panel.
     TaskStart(u64),
-    /// On the first drain-phase frame (`SHUTDOWN` or `HEARTBEAT`): every
-    /// task is done, the coordinator is gathering — the departed-worker
-    /// path, no replay needed.
+    /// On the first `HEARTBEAT` (the end-of-run census ping): every task
+    /// is done, the coordinator is gathering — the departed-worker path,
+    /// no replay needed.
     Drain,
 }
 
@@ -459,24 +451,11 @@ impl Default for WorkerOptions {
     }
 }
 
-/// [`worker_loop_with`] with default options and no registration
-/// handshake deadline concerns for callers that predate the fleet;
-/// in-process test workers use this.
-pub fn worker_loop(stream: TcpStream) -> io::Result<u64> {
-    worker_loop_with(
-        stream,
-        WorkerOptions {
-            idle_timeout: None,
-            ..WorkerOptions::default()
-        },
-    )
-}
-
 /// Serve one coordinator connection: register (`JOIN` → `ASSIGN`), then
 /// receive owned tiles, execute assigned tasks, publish written tiles when
-/// asked, echo `HEARTBEAT` liveness probes, and exit on `SHUTDOWN` (or a
-/// clean coordinator close). Returns the number of tasks executed since
-/// the last `HELLO`.
+/// asked, echo `HEARTBEAT` probes with the executed-task count, and exit
+/// when the coordinator closes the connection. Returns the number of
+/// tasks executed since the last `HELLO`.
 ///
 /// The worker is deliberately dumb: it has no view of the DAG and trusts
 /// the coordinator's stream order for operand availability — which the
@@ -672,19 +651,6 @@ pub fn worker_loop_with(mut stream: TcpStream, opts: WorkerOptions) -> io::Resul
                 w.put_u64(executed);
                 write_frame(&mut stream, K_HEARTBEAT, &w.buf)?;
             }
-            K_SHUTDOWN => {
-                if let Some(c) = chaos {
-                    if c.trigger == ChaosTrigger::Drain {
-                        match c.fire() {
-                            ChaosDeath::Disconnect => return Ok(executed),
-                        }
-                    }
-                }
-                let mut w = WireWriter::new();
-                w.put_u64(executed);
-                write_frame(&mut stream, K_BYE, &w.buf)?;
-                return Ok(executed);
-            }
             K_JOIN | K_ASSIGN => {
                 return Err(proto_err(
                     "registration frame after the handshake already completed",
@@ -708,9 +674,9 @@ pub struct JoinInfo {
 /// Supervisor side of the registration handshake: read the worker's
 /// `JOIN` (bounded by `deadline`), verify the protocol version, and
 /// answer with an `ASSIGN` carrying `member_id` and the standby/active
-/// role. Every acceptor — [`spawn_workers`], [`spawn_local_workers`], the
-/// `xgs-fleet` supervisor — admits connections through here, so the
-/// handshake cannot drift between entry points.
+/// role. The `xgs-fleet` supervisor admits every connection (launched,
+/// dialed in, or a mid-run replacement) through here, as do the in-crate
+/// tests, so the handshake cannot drift between entry points.
 pub fn admit_worker(
     stream: &mut TcpStream,
     member_id: u32,
@@ -788,10 +754,6 @@ enum Event {
         pivot: u64,
         elapsed: f64,
     },
-    Bye {
-        from: usize,
-        tasks: u64,
-    },
     Heartbeat {
         from: usize,
         tasks: u64,
@@ -803,7 +765,7 @@ enum Event {
 }
 
 /// Reader thread: drain one worker's frames into the event channel. Exits
-/// after `BYE`, on stop, or on connection loss (reported as `Lost`).
+/// on stop or on connection loss (reported as `Lost`).
 /// Each thread sends at most one `Lost`, always as its final event — the
 /// coordinator relies on that to run at most one recovery per worker
 /// incarnation, with every pre-death frame already processed.
@@ -849,15 +811,6 @@ fn reader_thread(worker: usize, mut stream: TcpStream, tx: Sender<Event>, stop: 
                     return;
                 }
             }
-            Ok((K_BYE, payload)) => {
-                let mut r = WireReader::new(&payload);
-                let tasks = r.get_u64().unwrap_or(0);
-                let _ = tx.send(Event::Bye {
-                    from: worker,
-                    tasks,
-                });
-                return;
-            }
             Ok((other, _)) => {
                 let _ = tx.send(Event::Lost {
                     from: worker,
@@ -902,9 +855,9 @@ struct Drive {
     /// Fleet lifecycle events, indexed by the `EV_*` constants.
     events: [KernelStats; 3],
     workers: Vec<WorkerStats>,
-    /// End-of-run executed-task census, from `BYE` (one-shot runs) or the
-    /// drain `HEARTBEAT` echo (persistent runs).
-    bye: Vec<Option<u64>>,
+    /// End-of-run executed-task census, from each worker's `HEARTBEAT`
+    /// echo.
+    reported: Vec<Option<u64>>,
     /// Workers that died after every task completed: the factor is fully
     /// published, so they are recorded as deaths but not replaced.
     departed: Vec<bool>,
@@ -912,7 +865,8 @@ struct Drive {
     recoveries: u32,
     /// Earliest global pivot failure, if any.
     failed: Option<usize>,
-    /// Frames/bytes received from workers (TILE publishes, DONE, BYE).
+    /// Frames/bytes received from workers (TILE publishes, DONE,
+    /// HEARTBEAT echoes).
     census: WireCensus,
 }
 
@@ -973,14 +927,9 @@ impl Drive {
                 }
                 Ok(())
             }
-            Event::Bye { from, tasks } => {
-                self.census.record(K_BYE, BYE_PAYLOAD_BYTES);
-                self.bye[from] = Some(tasks);
-                Ok(())
-            }
             Event::Heartbeat { from, tasks } => {
                 self.census.record(K_HEARTBEAT, HEARTBEAT_ECHO_BYTES);
-                self.bye[from] = Some(tasks);
+                self.reported[from] = Some(tasks);
                 Ok(())
             }
             Event::Lost { from, detail } => Err(ShardError::WorkerLost {
@@ -1024,18 +973,9 @@ pub struct ReplacementWorker {
 
 /// Supplies replacement workers during [`TiledFactor::factorize_elastic`].
 /// Returning `None` declines: the run fails with the original
-/// [`ShardError::WorkerLost`], exactly like the pre-elastic coordinator.
+/// [`ShardError::WorkerLost`].
 pub trait ReplacementSource {
     fn replace(&mut self, worker: usize) -> Option<ReplacementWorker>;
-}
-
-/// The spawn-only behavior: no replacements, any death fails the run.
-pub struct NoReplacement;
-
-impl ReplacementSource for NoReplacement {
-    fn replace(&mut self, _worker: usize) -> Option<ReplacementWorker> {
-        None
-    }
 }
 
 struct Coordinator<'a> {
@@ -1043,7 +983,7 @@ struct Coordinator<'a> {
     rx: Receiver<Event>,
     deadline: Instant,
     /// Frames/bytes sent to workers (HELLO, TILE seeds/forwards, TASK,
-    /// SHUTDOWN).
+    /// HEARTBEAT pings).
     census: WireCensus,
     /// Per-worker logical frame log (current incarnation), the replay
     /// source on recovery.
@@ -1378,41 +1318,23 @@ fn recover(
 }
 
 impl TiledFactor {
-    /// Factorize by fanning the DAG out over worker processes already
-    /// connected on `streams` (one per worker, e.g. from
-    /// [`spawn_workers`] or [`spawn_local_workers`]).
+    /// Factorize by fanning the DAG out over the registered worker
+    /// connections on `streams` (one per worker; the `xgs-fleet`
+    /// supervisor owns them in production). Tile `(i, j)` tasks run on
+    /// worker `block_cyclic_owner(i, j, p, q)`; per-tile kernel order
+    /// matches [`TiledFactor::factorize_seq`], so the result is bitwise
+    /// identical to the single-process factor.
     ///
-    /// Drives exactly one factorization, then shuts the workers down
-    /// (`SHUTDOWN` → `BYE` drain) and closes the sockets. Any worker death
-    /// fails the run — this is [`TiledFactor::factorize_elastic`] with
-    /// [`NoReplacement`]. Tile `(i, j)` tasks run on worker
-    /// `block_cyclic_owner(i, j, p, q)`; per-tile kernel order matches
-    /// [`TiledFactor::factorize_seq`], so the result is bitwise identical
-    /// to the single-process factor.
-    pub fn factorize_sharded(
-        &mut self,
-        mut streams: Vec<TcpStream>,
-        opts: &ShardOptions,
-    ) -> Result<ShardReport, ShardError> {
-        let mut none = NoReplacement;
-        let result = self.factorize_elastic(&mut streams, opts, &mut none);
-        for s in streams.iter() {
-            let _ = s.shutdown(std::net::Shutdown::Both);
-        }
-        result
-    }
-
-    /// Factorize over `streams` with elastic worker recovery: when a
-    /// worker dies mid-run, `source` supplies a replacement (a promoted
-    /// standby or a fresh respawn) and the coordinator replays the lost
-    /// shard's frame prefix from the last published tile versions instead
-    /// of failing — see [`recover`]. With [`ShardOptions::persistent`]
-    /// the fleet stays warm afterwards: no `SHUTDOWN`, sockets stay open,
-    /// and the executed-task census rides a `HEARTBEAT` exchange.
+    /// When a worker dies mid-run, `source` supplies a replacement (a
+    /// promoted standby or a fresh respawn) and the coordinator replays
+    /// the lost shard's frame prefix from the last published tile versions
+    /// instead of failing — see [`recover`].
     ///
-    /// On error (and always when not persistent) the sockets are shut
-    /// down before returning, so a failed run can never leave a worker
-    /// half-driven.
+    /// On success the workers stay warm: the executed-task census rides a
+    /// `HEARTBEAT` exchange, the sockets stay open, and the next
+    /// factorization starts with a state-resetting `HELLO`. On error the
+    /// sockets are shut down before returning, so a failed run can never
+    /// leave a worker half-driven.
     pub fn factorize_elastic(
         &mut self,
         streams: &mut Vec<TcpStream>,
@@ -1521,7 +1443,7 @@ impl TiledFactor {
                 KernelStats::new("standby_promote"),
             ],
             workers: vec![WorkerStats::default(); workers],
-            bye: vec![None; workers],
+            reported: vec![None; workers],
             departed: vec![false; workers],
             recoveries: 0,
             failed: None,
@@ -1547,25 +1469,15 @@ impl TiledFactor {
         };
 
         let result = run_steps(
-            self,
-            &mut co,
-            &mut drive,
-            &mut rec,
-            &meta,
-            p,
-            q,
-            nt,
-            workers,
-            opts.persistent,
+            self, &mut co, &mut drive, &mut rec, &meta, p, q, nt, workers,
         );
         drop(rec);
 
         // Reader threads never outlive the run: the stop flag unblocks
-        // them even when the sockets stay open for a warm fleet. Sockets
-        // are torn down unless this persistent run succeeded.
+        // them even though the sockets stay open for the next run. Sockets
+        // are torn down only when the run failed.
         stop.store(true, Ordering::Release);
-        let warm = opts.persistent && result.is_ok();
-        if !warm {
+        if result.is_err() {
             for s in co.streams.iter() {
                 let _ = s.shutdown(std::net::Shutdown::Both);
             }
@@ -1585,7 +1497,7 @@ impl TiledFactor {
             if drive.departed[w] {
                 continue;
             }
-            let got = drive.bye[w];
+            let got = drive.reported[w];
             if got != Some(want) {
                 return Err(ShardError::Protocol(format!(
                     "worker {w} executed {got:?} tasks, coordinator sent {want}"
@@ -1645,7 +1557,6 @@ fn run_steps(
     q: usize,
     nt: usize,
     workers: usize,
-    persistent: bool,
 ) -> Result<ShardReport, ShardError> {
     let layout = f.layout;
     let total = meta.len();
@@ -1763,34 +1674,23 @@ fn run_steps(
         }
     }
 
-    // End-of-run census. One-shot runs terminate the workers (SHUTDOWN →
-    // BYE); a persistent fleet instead pings each live worker once with a
-    // HEARTBEAT whose echo carries the same executed-task count, leaving
-    // the connection warm for the next factorization. Workers that
-    // departed after the final DONE have nothing to report.
-    if persistent {
-        for w in 0..workers {
-            if drive.departed[w] {
-                continue;
-            }
-            let mut hb = WireWriter::new();
-            hb.put_u64(w as u64);
-            co.send(w, K_HEARTBEAT, &hb.buf)?;
+    // End-of-run census: ping each live worker once with a HEARTBEAT whose
+    // echo carries its executed-task count, leaving the connection warm for
+    // the next factorization. Workers that departed after the final DONE
+    // have nothing to report.
+    for w in 0..workers {
+        if drive.departed[w] {
+            continue;
         }
-    } else {
-        for w in 0..workers {
-            if drive.departed[w] {
-                continue;
-            }
-            co.send(w, K_SHUTDOWN, &[])?;
-        }
+        let mut hb = WireWriter::new();
+        hb.put_u64(w as u64);
+        co.send(w, K_HEARTBEAT, &hb.buf)?;
     }
-    let phase = if persistent { "census" } else { "shutdown" };
-    wait_until(f, co, drive, rec, meta, &layout, phase, |d| {
-        d.bye
+    wait_until(f, co, drive, rec, meta, &layout, "census", |d| {
+        d.reported
             .iter()
             .zip(d.departed.iter())
-            .all(|(b, &dep)| dep || b.is_some())
+            .all(|(r, &dep)| dep || r.is_some())
     })?;
 
     let mut kernels: Vec<KernelStats> = drive
@@ -1940,13 +1840,13 @@ fn panel_forward_targets(
 /// frame kind: replays exactly the frame sequence [`run_steps`] emits
 /// (HELLO per worker, tile seeding, per step the POTRF publish, `L_kk`
 /// forwards, TRSM publishes and panel forwards, one TASK/DONE pair per
-/// task, SHUTDOWN/BYE per worker) over the block-cyclic owner map, with
-/// TILE frame sizes from `meta`'s per-tile formats
-/// ([`tile_wire_frame_bytes`]). For static formats this equals the
-/// measured census byte-for-byte — `metrics_diff --assert-wire-equal
-/// tile` holds a real run to it in CI; with TLR storage the ranks drift
-/// during the trailing update and the TILE row is an estimate.
-pub fn project_wire_census(
+/// task, and the end-of-run HEARTBEAT ping and echo per worker) over the
+/// block-cyclic owner map, with TILE frame sizes from `meta`'s per-tile
+/// formats ([`tile_wire_frame_bytes`]). For static formats this equals
+/// the measured census byte-for-byte — `metrics_diff --assert-wire-equal`
+/// holds a real run to it in CI; with TLR storage the ranks drift during
+/// the trailing update and the TILE row is an estimate.
+pub fn project_wire_census_warm(
     meta: &dyn TileMetaSource,
     n: usize,
     nb: usize,
@@ -1987,38 +1887,11 @@ pub fn project_wire_census(
             );
         }
     }
-    // One TASK down and one DONE back per task; SHUTDOWN/BYE per worker.
+    // One TASK down and one DONE back per task; one HEARTBEAT ping and
+    // echo per worker.
     let tasks = (nt + nt * (nt - 1) / 2 + (nt * nt * nt - nt) / 6) as u64;
     census.record_many(K_TASK, tasks, TASK_PAYLOAD_BYTES);
     census.record_many(K_DONE, tasks, DONE_PAYLOAD_BYTES);
-    census.record_many(K_SHUTDOWN, workers as u64, 0);
-    census.record_many(K_BYE, workers as u64, BYE_PAYLOAD_BYTES);
-    census.to_stats()
-}
-
-/// [`project_wire_census`] for a *persistent* (warm-fleet) factorization:
-/// the drive loop is identical except the drain — no `SHUTDOWN`/`BYE`;
-/// instead one `HEARTBEAT` ping per worker and one echo back carry the
-/// executed-task census while the connections stay open for the next run.
-pub fn project_wire_census_warm(
-    meta: &dyn TileMetaSource,
-    n: usize,
-    nb: usize,
-    workers: usize,
-) -> Vec<WireStats> {
-    let mut census = WireCensus::default();
-    for row in project_wire_census(meta, n, nb, workers) {
-        match row.kind {
-            "shutdown" | "bye" => {}
-            other => {
-                let kind = FRAME_KIND_NAMES
-                    .iter()
-                    .position(|&n| n == other)
-                    .map_or(K_HELLO, |idx| idx as u8 + 1);
-                census.counts[kind as usize - 1] = (row.frames, row.bytes);
-            }
-        }
-    }
     census.record_many(K_HEARTBEAT, workers as u64, HEARTBEAT_PING_BYTES);
     census.record_many(K_HEARTBEAT, workers as u64, HEARTBEAT_ECHO_BYTES);
     census.to_stats()
@@ -2150,199 +2023,10 @@ fn build_shard_plan(
     }
 }
 
-// ---------------------------------------------------------------------------
-// Worker process management
-// ---------------------------------------------------------------------------
-
-/// Worker child processes plus their accepted connections. Dropping kills
-/// any child still alive — a failed factorization can never leak workers.
-pub struct ShardProcesses {
-    children: Vec<Child>,
-    streams: Vec<TcpStream>,
-}
-
-impl ShardProcesses {
-    /// Move the connections out (for [`TiledFactor::factorize_sharded`]);
-    /// the processes stay owned here so Drop still reaps them.
-    pub fn take_streams(&mut self) -> Vec<TcpStream> {
-        std::mem::take(&mut self.streams)
-    }
-
-    /// SIGKILL worker `w` (fault-injection tests).
-    pub fn kill_worker(&mut self, w: usize) -> io::Result<()> {
-        self.children[w].kill()
-    }
-}
-
-impl Drop for ShardProcesses {
-    fn drop(&mut self) {
-        for c in &mut self.children {
-            let _ = c.kill();
-            let _ = c.wait();
-        }
-    }
-}
-
-/// Launch `shards` worker processes (`<exe> worker --connect <addr>`) and
-/// accept their connections on an ephemeral loopback listener.
-pub fn spawn_workers(
-    exe: &std::path::Path,
-    shards: usize,
-    accept_deadline: Duration,
-) -> Result<ShardProcesses, ShardError> {
-    let listener =
-        TcpListener::bind("127.0.0.1:0").map_err(|e| ShardError::Spawn(e.to_string()))?;
-    let addr = listener
-        .local_addr()
-        .map_err(|e| ShardError::Spawn(e.to_string()))?;
-    listener
-        .set_nonblocking(true)
-        .map_err(|e| ShardError::Spawn(e.to_string()))?;
-
-    let mut procs = ShardProcesses {
-        children: Vec::with_capacity(shards),
-        streams: Vec::with_capacity(shards),
-    };
-    for _ in 0..shards {
-        let child = Command::new(exe)
-            .arg("worker")
-            .arg("--connect")
-            .arg(addr.to_string())
-            .stdin(Stdio::null())
-            .stdout(Stdio::null())
-            .stderr(Stdio::null())
-            .spawn()
-            .map_err(|e| ShardError::Spawn(format!("{}: {e}", exe.display())))?;
-        procs.children.push(child);
-    }
-
-    let deadline = Instant::now() + accept_deadline;
-    while procs.streams.len() < shards {
-        match listener.accept() {
-            Ok((s, _)) => {
-                let _ = s.set_nonblocking(false);
-                procs.streams.push(s);
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                // A worker that died before connecting (bad exe, crash on
-                // startup) must not stall us until the deadline.
-                for c in &mut procs.children {
-                    if let Ok(Some(status)) = c.try_wait() {
-                        return Err(ShardError::Spawn(format!(
-                            "worker exited before connecting: {status}"
-                        )));
-                    }
-                }
-                if Instant::now() >= deadline {
-                    return Err(ShardError::Spawn(format!(
-                        "only {} of {shards} workers connected before the deadline",
-                        procs.streams.len()
-                    )));
-                }
-                std::thread::sleep(Duration::from_millis(10));
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(ShardError::Spawn(e.to_string())),
-        }
-    }
-    // Registration: read each worker's JOIN, assign it the grid slot
-    // matching its accept order.
-    let admit_deadline = deadline.saturating_duration_since(Instant::now());
-    for (w, s) in procs.streams.iter_mut().enumerate() {
-        admit_worker(
-            s,
-            w as u32,
-            false,
-            admit_deadline.max(Duration::from_secs(1)),
-        )?;
-    }
-    Ok(procs)
-}
-
-/// Join handle of an in-process worker thread; yields its executed-task
-/// count, like a real worker's `BYE` frame.
-pub type LocalWorkerHandle = std::thread::JoinHandle<io::Result<u64>>;
-
-/// In-process stand-in for [`spawn_workers`]: `shards` threads running
-/// [`worker_loop`] over loopback connections. Same protocol, same bitwise
-/// results — used by the property-test sweep where spawning real processes
-/// per case would dominate the runtime.
-pub fn spawn_local_workers(shards: usize) -> io::Result<(Vec<TcpStream>, Vec<LocalWorkerHandle>)> {
-    spawn_local_workers_with(
-        shards,
-        WorkerOptions {
-            idle_timeout: None,
-            ..WorkerOptions::default()
-        },
-    )
-}
-
-/// [`spawn_local_workers`] with explicit [`WorkerOptions`] — the chaos
-/// fault-matrix tests inject in-process `Disconnect` deaths through here.
-pub fn spawn_local_workers_with(
-    shards: usize,
-    opts: WorkerOptions,
-) -> io::Result<(Vec<TcpStream>, Vec<LocalWorkerHandle>)> {
-    let listener = TcpListener::bind("127.0.0.1:0")?;
-    let addr = listener.local_addr()?;
-    let mut streams = Vec::with_capacity(shards);
-    let mut handles = Vec::with_capacity(shards);
-    for w in 0..shards {
-        let mut conn = TcpStream::connect(addr)?;
-        let (server_end, _) = listener.accept()?;
-        handles.push(std::thread::spawn(move || {
-            worker_loop_with(server_end, opts)
-        }));
-        admit_worker(&mut conn, w as u32, false, Duration::from_secs(10))
-            .map_err(|e| io::Error::other(e.to_string()))?;
-        streams.push(conn);
-    }
-    Ok((streams, handles))
-}
-
-/// Recipe for running sharded factorizations: which binary provides the
-/// `worker` subcommand and how many shards to fan out to.
-#[derive(Clone, Debug)]
-pub struct ShardRunner {
-    pub exe: PathBuf,
-    pub shards: usize,
-    pub deadline: Duration,
-}
-
-impl ShardRunner {
-    pub fn new(exe: PathBuf, shards: usize) -> ShardRunner {
-        ShardRunner {
-            exe,
-            shards: shards.max(1),
-            deadline: Duration::from_secs(120),
-        }
-    }
-
-    /// Workers run `std::env::current_exe() worker --connect ...` — the
-    /// normal CLI/server configuration, where the running binary *is*
-    /// `exageostat`.
-    pub fn from_current_exe(shards: usize) -> io::Result<ShardRunner> {
-        Ok(ShardRunner::new(std::env::current_exe()?, shards))
-    }
-
-    /// Spawn a fresh worker fleet, factorize `f` on it, and reap the
-    /// fleet. Fresh processes per factorization mean a crashed or wedged
-    /// worker can never poison a later job.
-    pub fn factorize(&self, f: &mut TiledFactor) -> Result<ShardReport, ShardError> {
-        let mut opts = ShardOptions::for_workers(self.shards);
-        opts.deadline = self.deadline;
-        let mut procs = spawn_workers(&self.exe, self.shards, Duration::from_secs(30))?;
-        let streams = procs.take_streams();
-        f.factorize_sharded(streams, &opts)
-        // `procs` drops here: surviving children (all of them, after a
-        // clean BYE drain) are killed/reaped.
-    }
-}
-
 /// Anything that can run a sharded factorization for the higher layers
-/// (`FactorEngine::Sharded`, the prediction server). [`ShardRunner`] is
-/// the one-shot spawn-per-run strategy; the `xgs-fleet` supervisor is the
-/// persistent warm-fleet strategy with standby promotion and replay.
+/// (`FactorEngine::Sharded`, the prediction server). The one
+/// implementation is the `xgs-fleet` supervisor's warm fleet; the trait is
+/// the seam that keeps those layers from depending on `xgs-fleet`.
 pub trait ShardBackend: Send + Sync + std::fmt::Debug {
     fn factorize(&self, f: &mut TiledFactor) -> Result<ShardReport, ShardError>;
 
@@ -2350,22 +2034,68 @@ pub trait ShardBackend: Send + Sync + std::fmt::Debug {
     fn describe(&self) -> String;
 }
 
-impl ShardBackend for ShardRunner {
-    fn factorize(&self, f: &mut TiledFactor) -> Result<ShardReport, ShardError> {
-        ShardRunner::factorize(self, f)
-    }
-
-    fn describe(&self) -> String {
-        format!("spawn-per-run x{}", self.shards)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::SeedableRng;
+    use std::net::TcpListener;
     use xgs_covariance::{jittered_grid, morton_order, Matern, MaternParams};
     use xgs_tile::{FlopKernelModel, PrecisionRule, SymTileMatrix, TlrConfig, Variant};
+
+    type LocalWorkerHandle = std::thread::JoinHandle<io::Result<u64>>;
+
+    /// Test stand-in for the fleet's launch path: `shards` in-process
+    /// threads running [`worker_loop_with`] over loopback connections,
+    /// registered through [`admit_worker`] like real fleet members.
+    fn local_workers(
+        shards: usize,
+        chaos: Option<ChaosSpec>,
+    ) -> (Vec<TcpStream>, Vec<LocalWorkerHandle>) {
+        let opts = WorkerOptions {
+            chaos,
+            ..test_worker_options()
+        };
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let mut streams = Vec::with_capacity(shards);
+        let mut handles = Vec::with_capacity(shards);
+        for w in 0..shards {
+            let mut conn = TcpStream::connect(addr).unwrap();
+            let (server_end, _) = listener.accept().unwrap();
+            handles.push(std::thread::spawn(move || {
+                worker_loop_with(server_end, opts)
+            }));
+            admit_worker(&mut conn, w as u32, false, Duration::from_secs(10)).unwrap();
+            streams.push(conn);
+        }
+        (streams, handles)
+    }
+
+    fn test_worker_options() -> WorkerOptions {
+        WorkerOptions {
+            idle_timeout: None,
+            ..WorkerOptions::default()
+        }
+    }
+
+    /// Declines every replacement: any mid-run death fails the run.
+    struct NoReplacement;
+
+    impl ReplacementSource for NoReplacement {
+        fn replace(&mut self, _worker: usize) -> Option<ReplacementWorker> {
+            None
+        }
+    }
+
+    /// One factorization on `streams` with no replacements, then close the
+    /// connections so the warm workers exit.
+    fn factorize_once(
+        f: &mut TiledFactor,
+        mut streams: Vec<TcpStream>,
+        opts: &ShardOptions,
+    ) -> Result<ShardReport, ShardError> {
+        f.factorize_elastic(&mut streams, opts, &mut NoReplacement)
+    }
 
     fn build(n: usize, nb: usize, variant: Variant) -> TiledFactor {
         build_with_config(n, TlrConfig::new(variant, nb))
@@ -2406,10 +2136,10 @@ mod tests {
             seq.factorize_seq().unwrap();
 
             let mut shd = build(200, 64, variant);
-            let (streams, handles) = spawn_local_workers(shards).unwrap();
+            let (streams, handles) = local_workers(shards, None);
             let mut opts = ShardOptions::for_workers(shards);
             opts.validate = true; // assert hazard edges even in release
-            let report = shd.factorize_sharded(streams, &opts).unwrap();
+            let report = factorize_once(&mut shd, streams, &opts).unwrap();
             for h in handles {
                 h.join().unwrap().unwrap();
             }
@@ -2439,10 +2169,8 @@ mod tests {
                 d[(5, 5)] = -100.0;
             }
         }
-        let (streams, handles) = spawn_local_workers(2).unwrap();
-        let err = f
-            .factorize_sharded(streams, &ShardOptions::for_workers(2))
-            .unwrap_err();
+        let (streams, handles) = local_workers(2, None);
+        let err = factorize_once(&mut f, streams, &ShardOptions::for_workers(2)).unwrap_err();
         match err {
             ShardError::Factor(FactorError::NotPositiveDefinite { pivot }) => {
                 assert!(pivot >= 50, "pivot {pivot} should be inside tile 1");
@@ -2553,10 +2281,8 @@ mod tests {
         let mut seq = build(100, 60, Variant::DenseF64);
         seq.factorize_seq().unwrap();
         let mut shd = build(100, 60, Variant::DenseF64);
-        let (streams, handles) = spawn_local_workers(6).unwrap();
-        let report = shd
-            .factorize_sharded(streams, &ShardOptions::for_workers(6))
-            .unwrap();
+        let (streams, handles) = local_workers(6, None);
+        let report = factorize_once(&mut shd, streams, &ShardOptions::for_workers(6)).unwrap();
         for h in handles {
             h.join().unwrap().unwrap();
         }
@@ -2623,14 +2349,12 @@ mod tests {
             }
             let mut shd = build_with_config(200, cfg);
             let meta = CapturedMeta::of(&shd);
-            let (streams, handles) = spawn_local_workers(4).unwrap();
-            let report = shd
-                .factorize_sharded(streams, &ShardOptions::for_workers(4))
-                .unwrap();
+            let (streams, handles) = local_workers(4, None);
+            let report = factorize_once(&mut shd, streams, &ShardOptions::for_workers(4)).unwrap();
             for h in handles {
                 h.join().unwrap().unwrap();
             }
-            let projected = project_wire_census(&meta, 200, 64, 4);
+            let projected = project_wire_census_warm(&meta, 200, 64, 4);
             assert_eq!(
                 report.metrics.wire, projected,
                 "measured census must equal the closed-form projection ({variant:?})"
@@ -2652,7 +2376,7 @@ mod tests {
                     rank: meta.rank.clone(),
                     prec: vec![Precision::F64; meta.prec.len()],
                 };
-                let (_, dense_bytes) = tile(&project_wire_census(&dense, 200, 64, 4));
+                let (_, dense_bytes) = tile(&project_wire_census_warm(&dense, 200, 64, 4));
                 assert!(
                     bytes < dense_bytes,
                     "MP TILE bytes {bytes} should be below dense-f64 {dense_bytes}"
@@ -2701,8 +2425,9 @@ mod tests {
             let addr = self.listener.local_addr().ok()?;
             let mut conn = TcpStream::connect(addr).ok()?;
             let (server_end, _) = self.listener.accept().ok()?;
-            self.handles
-                .push(std::thread::spawn(move || worker_loop(server_end)));
+            self.handles.push(std::thread::spawn(move || {
+                worker_loop_with(server_end, test_worker_options())
+            }));
             let standby = self.origin == ReplacementOrigin::Standby;
             admit_worker(
                 &mut conn,
@@ -2719,18 +2444,6 @@ mod tests {
         }
     }
 
-    fn chaos_workers(shards: usize, chaos: ChaosSpec) -> (Vec<TcpStream>, Vec<LocalWorkerHandle>) {
-        spawn_local_workers_with(
-            shards,
-            WorkerOptions {
-                idle_timeout: None,
-                chaos: Some(chaos),
-                ..WorkerOptions::default()
-            },
-        )
-        .unwrap()
-    }
-
     #[test]
     fn elastic_recovery_mid_panel_stays_bitwise() {
         for origin in [ReplacementOrigin::Respawn, ReplacementOrigin::Standby] {
@@ -2742,13 +2455,13 @@ mod tests {
             // dying on receipt of its fourth TASK — the step-1 POTRF —
             // leaves completed-but-unpublished trailing work to replay
             // while the coordinator is blocked on that very panel.
-            let (mut streams, handles) = chaos_workers(
+            let (mut streams, handles) = local_workers(
                 4,
-                ChaosSpec {
+                Some(ChaosSpec {
                     member: 3,
                     trigger: ChaosTrigger::TaskStart(3),
                     disconnect: true,
-                },
+                }),
             );
             let mut source = LocalRespawn::new(origin);
             let mut opts = ShardOptions::for_workers(4);
@@ -2790,7 +2503,7 @@ mod tests {
             trigger: ChaosTrigger::TaskStart(3),
             disconnect: true,
         };
-        let (mut streams, handles) = chaos_workers(4, chaos);
+        let (mut streams, handles) = local_workers(4, Some(chaos));
 
         struct ChaosRespawn {
             inner: LocalRespawn,
@@ -2842,23 +2555,21 @@ mod tests {
 
     #[test]
     fn drain_death_departs_without_replacement() {
-        // Dying on the SHUTDOWN frame means every task is done and the
-        // factor is fully published: even with no replacement source the
-        // run must succeed, recording the death but no replay.
+        // Dying on the end-of-run HEARTBEAT means every task is done and
+        // the factor is fully published: even with no replacement source
+        // the run must succeed, recording the death but no replay.
         let mut seq = build(200, 64, Variant::DenseF64);
         seq.factorize_seq().unwrap();
         let mut shd = build(200, 64, Variant::DenseF64);
-        let (streams, handles) = chaos_workers(
+        let (streams, handles) = local_workers(
             4,
-            ChaosSpec {
+            Some(ChaosSpec {
                 member: 2,
                 trigger: ChaosTrigger::Drain,
                 disconnect: true,
-            },
+            }),
         );
-        let report = shd
-            .factorize_sharded(streams, &ShardOptions::for_workers(4))
-            .unwrap();
+        let report = factorize_once(&mut shd, streams, &ShardOptions::for_workers(4)).unwrap();
         for h in handles {
             let _ = h.join().unwrap();
         }
@@ -2874,17 +2585,15 @@ mod tests {
     #[test]
     fn death_without_replacement_still_fails() {
         let mut shd = build(200, 64, Variant::DenseF64);
-        let (streams, handles) = chaos_workers(
+        let (streams, handles) = local_workers(
             4,
-            ChaosSpec {
+            Some(ChaosSpec {
                 member: 3,
                 trigger: ChaosTrigger::TaskStart(3),
                 disconnect: true,
-            },
+            }),
         );
-        let err = shd
-            .factorize_sharded(streams, &ShardOptions::for_workers(4))
-            .unwrap_err();
+        let err = factorize_once(&mut shd, streams, &ShardOptions::for_workers(4)).unwrap_err();
         assert!(
             matches!(err, ShardError::WorkerLost { worker: 3, .. }),
             "got {err}"
@@ -2899,9 +2608,8 @@ mod tests {
         let mut seq = build(200, 64, Variant::DenseF64);
         seq.factorize_seq().unwrap();
 
-        let (mut streams, handles) = spawn_local_workers(4).unwrap();
-        let mut opts = ShardOptions::for_workers(4);
-        opts.persistent = true;
+        let (mut streams, handles) = local_workers(4, None);
+        let opts = ShardOptions::for_workers(4);
         let mut none = NoReplacement;
         let mut reports = Vec::new();
         for _run in 0..2 {
@@ -2916,8 +2624,8 @@ mod tests {
             );
             reports.push(report);
         }
-        // No SHUTDOWN/BYE in a warm run; the census rides HEARTBEAT and
-        // the whole wire matches the warm projection exactly.
+        // The census rides HEARTBEAT (no retired SHUTDOWN/BYE frames) and
+        // the whole wire matches the projection exactly.
         let shd = build(200, 64, Variant::DenseF64);
         let meta = CapturedMeta::of(&shd);
         let projected = project_wire_census_warm(&meta, 200, 64, 4);
@@ -2989,16 +2697,24 @@ mod tests {
         );
     }
 
+    /// Connect an in-process worker and run the registration handshake;
+    /// returns the supervisor end and the worker's join handle.
+    fn hand_driven_worker(listener: &TcpListener) -> (TcpStream, LocalWorkerHandle) {
+        let mut sup = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (server_end, _) = listener.accept().unwrap();
+        let handle =
+            std::thread::spawn(move || worker_loop_with(server_end, test_worker_options()));
+        admit_worker(&mut sup, 0, false, Duration::from_secs(5)).unwrap();
+        (sup, handle)
+    }
+
     #[test]
     fn hello_accepts_trailing_bytes_and_rejects_old_version() {
         // Drive a real worker loop by hand: JOIN/ASSIGN, then a HELLO
-        // padded with future fields, then SHUTDOWN — must exit cleanly.
+        // padded with future fields, then a HEARTBEAT whose echo must
+        // carry the nonce, then a socket close — must exit cleanly.
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let mut sup = TcpStream::connect(addr).unwrap();
-        let (server_end, _) = listener.accept().unwrap();
-        let handle = std::thread::spawn(move || worker_loop(server_end));
-        admit_worker(&mut sup, 0, false, Duration::from_secs(5)).unwrap();
+        let (mut sup, handle) = hand_driven_worker(&listener);
         let mut h = WireWriter::new();
         h.put_u8(PROTO_VERSION);
         for _ in 0..4 {
@@ -3008,17 +2724,19 @@ mod tests {
         h.put_u64(64);
         h.put_u64(0xFEED); // future field
         write_frame(&mut sup, K_HELLO, &h.buf).unwrap();
-        write_frame(&mut sup, K_SHUTDOWN, &[]).unwrap();
-        let (kind, _) = read_frame(&mut sup, Some(Duration::from_secs(5)), None).unwrap();
-        assert_eq!(kind, K_BYE);
-        handle.join().unwrap().unwrap();
+        let mut ping = WireWriter::new();
+        ping.put_u64(0xBEEF);
+        write_frame(&mut sup, K_HEARTBEAT, &ping.buf).unwrap();
+        let (kind, echo) = read_frame(&mut sup, Some(Duration::from_secs(5)), None).unwrap();
+        assert_eq!(kind, K_HEARTBEAT);
+        let mut r = WireReader::new(&echo);
+        assert_eq!((r.get_u64().unwrap(), r.get_u64().unwrap()), (0xBEEF, 0));
+        drop(sup);
+        assert_eq!(handle.join().unwrap().unwrap(), 0);
 
-        // Same dance with a version-1 HELLO: the worker must refuse with
-        // an error naming the versions, not mis-decode.
-        let mut sup = TcpStream::connect(addr).unwrap();
-        let (server_end, _) = listener.accept().unwrap();
-        let handle = std::thread::spawn(move || worker_loop(server_end));
-        admit_worker(&mut sup, 0, false, Duration::from_secs(5)).unwrap();
+        // Same dance with a previous-version HELLO: the worker must refuse
+        // with an error naming the versions, not mis-decode.
+        let (mut sup, handle) = hand_driven_worker(&listener);
         let mut h = WireWriter::new();
         h.put_u8(PROTO_VERSION - 1);
         for _ in 0..4 {
@@ -3029,6 +2747,19 @@ mod tests {
         write_frame(&mut sup, K_HELLO, &h.buf).unwrap();
         let err = handle.join().unwrap().unwrap_err();
         assert!(err.to_string().contains("protocol version"), "got: {err}");
+
+        // Kinds 5 and 6 (the protocol-2 SHUTDOWN/BYE drain) are retired: a
+        // worker rejects them like any unknown kind, never as a drain.
+        for retired in [5u8, 6] {
+            let (mut sup, handle) = hand_driven_worker(&listener);
+            write_frame(&mut sup, retired, &[]).unwrap();
+            let err = handle.join().unwrap().unwrap_err();
+            assert!(
+                err.to_string()
+                    .contains(&format!("unexpected frame kind {retired}")),
+                "got: {err}"
+            );
+        }
     }
 
     #[test]

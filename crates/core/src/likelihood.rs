@@ -20,10 +20,9 @@ pub enum FactorEngine {
     Sequential,
     /// In-process task runtime on this many threads (0 = all cores).
     Threads(usize),
-    /// Multi-process 2D block-cyclic sharding. The backend decides the
-    /// fleet strategy: `ShardRunner` spawns a fresh fleet per
-    /// factorization, the `xgs-fleet` supervisor keeps a persistent warm
-    /// fleet with standby promotion and panel-replay recovery.
+    /// Multi-process 2D block-cyclic sharding on the `xgs-fleet`
+    /// supervisor's warm fleet, with standby promotion and panel-replay
+    /// recovery.
     Sharded(Arc<dyn ShardBackend>),
 }
 

@@ -6,6 +6,7 @@ use crate::optimizer::neldermead::{nelder_mead, NelderMeadOptions};
 use crate::optimizer::pso::{particle_swarm, PsoOptions};
 use crate::optimizer::transform::{forward_all, inverse_all};
 use parking_lot::Mutex;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use xgs_cholesky::{ShardBackend, ShardError};
 use xgs_covariance::Location;
@@ -30,8 +31,8 @@ pub struct FitOptions {
     /// Worker threads per likelihood evaluation (1 = sequential engine).
     pub workers: usize,
     /// When set, every factorization fans out to worker *processes* via
-    /// this backend (overrides `workers`) — a spawn-per-run `ShardRunner`
-    /// or the persistent `xgs-fleet` supervisor.
+    /// this backend (overrides `workers`): the warm `xgs-fleet`
+    /// supervisor.
     pub shard: Option<Arc<dyn ShardBackend>>,
 }
 
@@ -55,6 +56,9 @@ pub struct FitResult {
     pub llh: f64,
     /// Objective evaluations spent.
     pub evals: usize,
+    /// The optimizer converged *and* every evaluation ran: a sharded
+    /// infrastructure failure (worker lost, timeout) during the fit makes
+    /// this `false`, since the optimizer steered on a non-answer.
     pub converged: bool,
     /// Successful runtime factorizations behind the evaluations (0 with
     /// the sequential engine).
@@ -100,6 +104,7 @@ pub fn fit(
     // Per-factorization runtime metrics, merged across every evaluation
     // the optimizer makes (PSO may evaluate from several threads).
     let accum: Mutex<(usize, Option<MetricsReport>)> = Mutex::new((0, None));
+    let infra_failures = AtomicUsize::new(0);
     let objective = |y: &[f64]| -> f64 {
         let theta = inverse_all(&transforms, y);
         let kernel = family.kernel(&theta);
@@ -118,9 +123,10 @@ pub fn fit(
             // Loss of positive definiteness = out-of-model region.
             Err(ShardError::Factor(_)) => f64::INFINITY,
             // Infrastructure failure (worker lost, timeout): also an
-            // unusable evaluation, but loudly distinguishable in logs.
+            // unusable evaluation, and one that voids convergence.
             Err(e) => {
                 eprintln!("sharded evaluation failed: {e}");
+                infra_failures.fetch_add(1, Ordering::Relaxed);
                 f64::INFINITY
             }
         }
@@ -140,6 +146,7 @@ pub fn fit(
             (inverse_all(&transforms, &r.x), -r.f, r.evals, true)
         }
     };
+    let converged = converged && infra_failures.into_inner() == 0;
     let (factorizations, mut metrics) = accum.into_inner();
     // Attribute the fit's share of the shared work-stealing pool (covariance
     // assembly, PSO fan-out, blocked kernels) to the merged report.

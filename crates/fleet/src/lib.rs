@@ -1,9 +1,10 @@
-//! Elastic shard fleet: the supervisor behind the warm sharded engine.
+//! Elastic shard fleet: the one backend of the sharded engine.
 //!
-//! [`ShardRunner`](xgs_cholesky::ShardRunner) is spawn-per-run: every
-//! factorization pays a full fleet spawn, and any worker death fails the
-//! job. The [`Supervisor`] here replaces that with a *registration*
-//! model over the same frame protocol:
+//! The [`Supervisor`] keeps a warm pool of worker processes (or, in tests,
+//! threads) registered over the shard frame protocol, so a factorization
+//! never pays a fleet spawn and a worker death is repaired instead of
+//! failing the job. A fleet with no standbys and `respawn` off is the
+//! strictest configuration: any mid-run death fails the run.
 //!
 //! * Workers dial the supervisor's listener (`worker --connect <addr>`)
 //!   and register with a `JOIN` frame advertising capabilities (cores,
@@ -23,9 +24,9 @@
 //!   from the last published tile versions. The recovery plan is
 //!   validated by `xgs-analysis` before a single frame is sent, and the
 //!   recovered factor stays bitwise-equal to the sequential one.
-//! * Runs are **persistent** ([`ShardOptions::persistent`]): no
-//!   `SHUTDOWN`/`BYE` teardown, sockets stay open, and the same fleet
-//!   serves the next factorization after a state-resetting `HELLO`.
+//! * Runs are **persistent**: the end-of-run census rides a `HEARTBEAT`
+//!   exchange, sockets stay open, and the same fleet serves the next
+//!   factorization after a state-resetting `HELLO`.
 //!
 //! Fleet lifecycle lands in the shared metrics schema: the engine
 //! already records `worker_death` / `panel_replay` / `standby_promote`
@@ -179,7 +180,7 @@ struct Inner {
 /// The elastic fleet supervisor. Owns the registration listener, the
 /// member pool, and a monitor thread; implements [`ShardBackend`] so
 /// `FactorEngine::Sharded` and the prediction server route through a
-/// persistent warm fleet instead of paying spawn per factorization.
+/// persistent warm fleet that never pays a spawn per factorization.
 #[derive(Debug)]
 pub struct Supervisor {
     inner: Arc<Inner>,
@@ -300,7 +301,6 @@ impl ShardBackend for Supervisor {
 
         let mut opts = ShardOptions::for_workers(inner.cfg.workers);
         opts.deadline = inner.cfg.deadline;
-        opts.persistent = true;
         let mut source = FleetSource {
             inner,
             pool: &mut pool,

@@ -212,9 +212,8 @@ pub fn project_with_metrics(cfg: &ScaleConfig) -> (Projection, Option<MetricsRep
     // Closed-form frame census of the sharded protocol under this
     // profile's formats: a real sharded run of the same grid must measure
     // exactly these TILE frames/bytes when formats are static
-    // (`metrics_diff --assert-wire-equal tile`). The warm variant, because
-    // the CLI's `--shards` runs on the persistent fleet: the drain rides a
-    // HEARTBEAT exchange and no SHUTDOWN/BYE frames cross the wire.
+    // (`metrics_diff --assert-wire-equal tile`); the end-of-run census is
+    // one HEARTBEAT ping and echo per worker.
     metrics.wire = xgs_cholesky::project_wire_census_warm(&profile, cfg.n, cfg.nb, cfg.nodes);
     let fp = footprint_bytes(&profile);
     let nominal = {
@@ -491,8 +490,8 @@ mod tests {
             for k in ["hello", "tile", "task", "done", "heartbeat"] {
                 assert!(kinds.contains(&k), "missing frame kind {k} in {kinds:?}");
             }
-            // Warm-fleet projection: the drain is a HEARTBEAT exchange,
-            // never a SHUTDOWN/BYE teardown.
+            // The end-of-run census is a HEARTBEAT exchange; the retired
+            // SHUTDOWN/BYE kinds never appear.
             for k in ["shutdown", "bye"] {
                 assert!(!kinds.contains(&k), "stale frame kind {k} in {kinds:?}");
             }

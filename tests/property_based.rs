@@ -4,10 +4,22 @@ use exageostat_rs::prelude::*;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::OnceLock;
+use xgs_cholesky::ShardBackend;
+use xgs_fleet::{FleetConfig, Supervisor};
 
 fn finite_matrix(rows: usize, cols: usize) -> impl Strategy<Value = Matrix> {
     proptest::collection::vec(-10.0f64..10.0, rows * cols)
         .prop_map(move |v| Matrix::from_vec(rows, cols, v))
+}
+
+/// One warm fleet of in-process worker threads per shard count, shared by
+/// every case of the sharded sweep. Cases differ in tile size, variant and
+/// tile grid, so reusing a fleet exercises the state reset each `HELLO`
+/// performs between problems.
+fn warm_fleet(shards: usize) -> &'static Supervisor {
+    static FLEETS: [OnceLock<Supervisor>; 8] = [const { OnceLock::new() }; 8];
+    FLEETS[shards].get_or_init(|| Supervisor::start(FleetConfig::threads(shards)).unwrap())
 }
 
 proptest! {
@@ -159,13 +171,12 @@ proptest! {
         seed in 0u64..10_000,
         shards in 1usize..7,
     ) {
-        // The multi-process backend (here: in-process worker loops over
-        // real loopback sockets, same wire protocol as separate
-        // processes) must reproduce the sequential factor bit for bit on
-        // random Matérn problems — every tile grid vs process grid
+        // The multi-process backend (here: a warm fleet of in-process
+        // worker loops over real loopback sockets, same wire protocol as
+        // separate processes) must reproduce the sequential factor bit for
+        // bit on random Matérn problems — every tile grid vs process grid
         // combination, including the 1×1 grid and more workers than
         // tiles (nb = 85 gives a 2×2 tile grid; shards ≥ 5 then idle).
-        use xgs_cholesky::{spawn_local_workers, ShardOptions, TiledFactor};
         let mut rng = StdRng::seed_from_u64(seed);
         let mut locs = jittered_grid(160, &mut rng);
         morton_order(&mut locs);
@@ -185,13 +196,7 @@ proptest! {
         seq.factorize_seq().unwrap();
 
         let mut sharded = TiledFactor::from_matrix(generate());
-        let (streams, handles) = spawn_local_workers(shards).unwrap();
-        let rep = sharded
-            .factorize_sharded(streams, &ShardOptions::for_workers(shards))
-            .unwrap();
-        for h in handles {
-            h.join().unwrap().unwrap();
-        }
+        let rep = warm_fleet(shards).factorize(&mut sharded).unwrap();
 
         let (a, b) = (seq.to_dense_lower(), sharded.to_dense_lower());
         for (x, y) in a.as_slice().iter().zip(b.as_slice()) {

@@ -1,27 +1,30 @@
 //! Cross-process equivalence suite for the sharded tile Cholesky.
 //!
-//! These tests spawn *real* worker processes of the `exageostat` binary
-//! (via `CARGO_BIN_EXE`) and prove the paper-level claim behind the
-//! multi-process backend: the 2D block-cyclic distribution changes where
-//! tile kernels run, never what they compute. The factor must be bitwise
-//! identical to the single-process sequential reference, predictions
-//! served through a `--shards` server must be checksum-identical to an
-//! unsharded server, and a lost or wedged worker must surface as a clean
-//! error within the deadline — never a hang, never a poisoned registry.
+//! These tests run warm fleets (`xgs_fleet::Supervisor`) of *real* worker
+//! processes of the `exageostat` binary (via `CARGO_BIN_EXE`) and prove
+//! the paper-level claim behind the multi-process backend: the 2D
+//! block-cyclic distribution changes where tile kernels run, never what
+//! they compute. The factor must be bitwise identical to the
+//! single-process sequential reference, predictions served through a
+//! `--shards` server must be checksum-identical to an unsharded server,
+//! and a lost or wedged worker must surface as a clean error within the
+//! deadline — never a hang, never a poisoned registry.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
-use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use exageostat_rs::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use xgs_cholesky::shard::{ChaosSpec, ChaosTrigger};
 use xgs_cholesky::{
-    spawn_workers, ShardBackend, ShardError, ShardOptions, ShardRunner, TiledFactor,
+    ReplacementSource, ReplacementWorker, ShardBackend, ShardError, ShardOptions, TiledFactor,
+    WorkerOptions,
 };
-use xgs_fleet::{FleetConfig, Supervisor};
+use xgs_core::{mle::FitOptimizer, PsoOptions};
+use xgs_fleet::{FleetConfig, Launch, Supervisor};
 use xgs_server::{loadgen, LoadgenConfig, ModelRegistry, ServerConfig};
 
 const EXE: &str = env!("CARGO_BIN_EXE_exageostat");
@@ -69,10 +72,10 @@ fn sharded_factor_is_bitwise_equal_across_process_grids() {
         reference.factorize_seq().unwrap();
 
         let mut sharded = TiledFactor::from_matrix(matrix(n, nb, 11, variant));
-        let mut fleet = spawn_workers(Path::new(EXE), shards, Duration::from_secs(30))
+        let fleet = Supervisor::start(FleetConfig::process(EXE.into(), shards))
             .unwrap_or_else(|e| panic!("{context}: spawn failed: {e}"));
-        let rep = sharded
-            .factorize_sharded(fleet.take_streams(), &ShardOptions::for_workers(shards))
+        let rep = fleet
+            .factorize(&mut sharded)
             .unwrap_or_else(|e| panic!("{context}: sharded factorization failed: {e}"));
 
         assert_bitwise_equal(
@@ -228,7 +231,8 @@ fn sharded_server_predictions_are_checksum_identical_to_unsharded() {
     };
 
     let unsharded = run_one(None);
-    let sharded = run_one(Some(Arc::new(ShardRunner::new(EXE.into(), 2))));
+    let fleet = Supervisor::start(FleetConfig::process(EXE.into(), 2)).unwrap();
+    let sharded = run_one(Some(Arc::new(fleet)));
     assert_eq!(
         unsharded, sharded,
         "sharded factorization changed served predictions"
@@ -238,25 +242,29 @@ fn sharded_server_predictions_are_checksum_identical_to_unsharded() {
 /// Fault injection: SIGKILL a worker and prove the coordinator answers
 /// with a clean error well within the deadline, and that a fresh fleet
 /// afterwards is unaffected (one factorization's crash cannot poison the
-/// next).
+/// next). The fleets run without standbys or respawn, so a death cannot be
+/// repaired and must surface as an error.
 #[test]
 fn killed_worker_fails_cleanly_within_deadline() {
     let shards = 4;
     let deadline = Duration::from_secs(30);
+    let strict = |env: Vec<(String, String)>| {
+        let mut cfg = FleetConfig::process(EXE.into(), shards);
+        cfg.deadline = deadline;
+        cfg.respawn = false;
+        cfg.heartbeat_every = Duration::from_secs(3600); // the kill beats the monitor
+        cfg.env = env;
+        Supervisor::start(cfg).unwrap()
+    };
 
     // Kill before the first frame: the coordinator must detect the lost
     // worker during the run, not block until the deadline.
-    let mut fleet = spawn_workers(Path::new(EXE), shards, Duration::from_secs(30)).unwrap();
-    let streams = fleet.take_streams();
-    fleet.kill_worker(2).unwrap();
+    let fleet = strict(Vec::new());
+    assert!(fleet.kill_member(2), "grid member 2 must exist");
     let mut f = TiledFactor::from_matrix(matrix(300, 50, 13, Variant::DenseF64));
-    let opts = ShardOptions {
-        deadline,
-        ..ShardOptions::for_workers(shards)
-    };
     let t0 = Instant::now();
-    let err = f
-        .factorize_sharded(streams, &opts)
+    let err = fleet
+        .factorize(&mut f)
         .expect_err("a dead worker cannot produce a factor");
     assert!(
         matches!(
@@ -271,20 +279,16 @@ fn killed_worker_fails_cleanly_within_deadline() {
         t0.elapsed()
     );
 
-    // Kill mid-flight on a second fleet: either the coordinator aborts
-    // cleanly, or (if the run already finished) the factor is still exact.
-    let mut fleet = spawn_workers(Path::new(EXE), shards, Duration::from_secs(30)).unwrap();
-    let streams = fleet.take_streams();
-    let opts2 = opts;
-    let handle = std::thread::spawn(move || {
-        let mut f = TiledFactor::from_matrix(matrix(600, 40, 13, Variant::DenseF64));
-        let res = f.factorize_sharded(streams, &opts2);
-        (res, f)
-    });
-    std::thread::sleep(Duration::from_millis(5));
-    fleet.kill_worker(1).unwrap();
+    // Kill mid-flight on a second fleet: member 1 SIGKILLs itself on its
+    // sixth TASK. Either the coordinator aborts cleanly, or (if the run
+    // already finished) the factor is still exact.
+    let fleet = strict(vec![(
+        "XGS_CHAOS_ABORT".to_string(),
+        "member=1,tasks=5".to_string(),
+    )]);
+    let mut f = TiledFactor::from_matrix(matrix(600, 40, 13, Variant::DenseF64));
     let t1 = Instant::now();
-    let (res, f) = handle.join().unwrap();
+    let res = fleet.factorize(&mut f);
     assert!(
         t1.elapsed() < deadline,
         "mid-flight kill stalled the coordinator for {:?}",
@@ -300,9 +304,8 @@ fn killed_worker_fails_cleanly_within_deadline() {
     let mut reference = TiledFactor::from_matrix(matrix(200, 50, 14, Variant::DenseF64));
     reference.factorize_seq().unwrap();
     let mut again = TiledFactor::from_matrix(matrix(200, 50, 14, Variant::DenseF64));
-    let mut fleet = spawn_workers(Path::new(EXE), shards, Duration::from_secs(30)).unwrap();
-    again
-        .factorize_sharded(fleet.take_streams(), &opts)
+    strict(Vec::new())
+        .factorize(&mut again)
         .expect("fresh fleet after a crash");
     assert_bitwise_equal(
         &reference.to_dense_lower(),
@@ -460,9 +463,21 @@ fn worker_without_join_ack_exits_nonzero_with_diagnostic() {
     drop(silent.join());
 }
 
+/// Declines every replacement, so the coordinator's own failure handling
+/// is what the test observes.
+struct NoReplacement;
+
+impl ReplacementSource for NoReplacement {
+    fn replace(&mut self, _worker: usize) -> Option<ReplacementWorker> {
+        None
+    }
+}
+
 /// Fault injection: a worker that answers with a *half-written* tile frame
 /// and then stalls forever. The coordinator must expire its deadline and
-/// return `Timeout` instead of blocking on the truncated frame.
+/// return `Timeout` instead of blocking on the truncated frame. The fake
+/// worker speaks raw frames, so it is driven through the coordinator entry
+/// point the fleet itself uses.
 #[test]
 fn half_written_tile_frame_times_out_instead_of_hanging() {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -502,11 +517,10 @@ fn half_written_tile_frame_times_out_instead_of_hanging() {
         deadline: Duration::from_secs(2),
         validate: false,
         precheck: true,
-        persistent: false,
     };
     let t0 = Instant::now();
     let err = f
-        .factorize_sharded(vec![conn], &opts)
+        .factorize_elastic(&mut vec![conn], &opts, &mut NoReplacement)
         .expect_err("a truncated frame cannot complete a factorization");
     assert!(
         matches!(
@@ -524,14 +538,24 @@ fn half_written_tile_frame_times_out_instead_of_hanging() {
 
 /// A sharded server whose worker executable cannot start answers `load`
 /// with `ok:false` and keeps serving: the registry is never poisoned by a
-/// failed factorization.
+/// failed factorization. The fleet boots from a link to the real binary;
+/// the link is then removed and a worker killed, so the run needs a
+/// replacement the broken executable cannot provide.
 #[test]
 fn sharded_server_survives_a_broken_worker_executable() {
+    let dir = std::env::temp_dir().join(format!("xgs-broken-exe-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let exe = dir.join("xgs-worker");
+    let _ = std::fs::remove_file(&exe);
+    std::os::unix::fs::symlink(EXE, &exe).unwrap();
+    let mut fleet_cfg = FleetConfig::process(exe, 2);
+    fleet_cfg.heartbeat_every = Duration::from_secs(3600); // the kill beats the monitor
+    let fleet = Supervisor::start(fleet_cfg).unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
+    assert!(fleet.kill_member(1), "grid member 1 must exist");
+
     let cfg = ServerConfig {
-        shard: Some(Arc::new(ShardRunner::new(
-            "/nonexistent/xgs-worker".into(),
-            2,
-        ))),
+        shard: Some(Arc::new(fleet)),
         ..Default::default()
     };
     let handle = xgs_server::serve(&cfg, Arc::new(ModelRegistry::new())).unwrap();
@@ -565,4 +589,62 @@ fn sharded_server_survives_a_broken_worker_executable() {
 
     handle.shutdown();
     handle.join();
+}
+
+/// A fit whose sharded evaluation hit an infrastructure failure (here: a
+/// worker lost with no standby and no respawn) must not report
+/// convergence; the same fit on a healthy fleet still converges.
+#[test]
+fn fit_is_not_converged_after_a_failed_sharded_evaluation() {
+    let mut rng = StdRng::seed_from_u64(31);
+    let mut locs = jittered_grid(120, &mut rng);
+    morton_order(&mut locs);
+    let kernel = ModelFamily::MaternSpace.kernel(&[1.0, 0.1, 0.5]);
+    let z = simulate_field(kernel.as_ref(), &locs, 32);
+    let cfg = TlrConfig::new(Variant::DenseF64, 40);
+
+    let run = |chaos: Option<ChaosSpec>| {
+        let mut fleet_cfg = FleetConfig::threads(2);
+        fleet_cfg.standbys = 0;
+        fleet_cfg.respawn = false;
+        fleet_cfg.launch = Launch::Threads(WorkerOptions {
+            idle_timeout: None,
+            chaos,
+            ..WorkerOptions::default()
+        });
+        let fleet = Supervisor::start(fleet_cfg).unwrap();
+        let opts = FitOptions {
+            optimizer: FitOptimizer::ParticleSwarm(PsoOptions {
+                particles: 4,
+                iterations: 3,
+                ..Default::default()
+            }),
+            start: Some(vec![1.0, 0.1, 0.5]),
+            workers: 1,
+            shard: Some(Arc::new(fleet)),
+        };
+        fit(
+            ModelFamily::MaternSpace,
+            &locs,
+            &z,
+            &cfg,
+            &FlopKernelModel::default(),
+            &opts,
+        )
+    };
+
+    // Member 0 drops its connection on its first TASK: that evaluation
+    // fails; the fleet rebuilds with fresh member ids for the rest.
+    let failed = run(Some(ChaosSpec {
+        member: 0,
+        trigger: ChaosTrigger::TaskStart(0),
+        disconnect: true,
+    }));
+    assert!(
+        !failed.converged,
+        "a fit with a lost-worker evaluation must not claim convergence"
+    );
+    let healthy = run(None);
+    assert!(healthy.converged, "the fault-free fit must converge");
+    assert!(healthy.llh.is_finite());
 }
