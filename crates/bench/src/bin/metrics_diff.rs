@@ -258,8 +258,8 @@ fn main() -> ExitCode {
     if let (Some(va), Some(vb)) = (&base.validation, &cand.validation) {
         let _ = writeln!(
             out,
-            "validation  edges {} -> {}  skipped {} -> {}",
-            va.edges_checked, vb.edges_checked, va.edges_skipped, vb.edges_skipped
+            "validation  edges {} -> {}",
+            va.edges_checked, vb.edges_checked
         );
     }
     // Best-effort write: a reader that hangs up early (| head) is fine.

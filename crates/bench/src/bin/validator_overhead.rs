@@ -1,16 +1,14 @@
 //! Validator recording overhead at large NT (closes the ROADMAP item
 //! "measure recording overhead at large NT in release profiles").
 //!
-//! Sweeps the parallel factorization with the schedule validator off,
-//! sampled (`validate_every` ∈ {64, 8}), and exhaustive (`1`), plus one
-//! run with the pre-execution graph checker (`XGS_PRECHECK`-style) forced
-//! on and one with the dynamic vector-clock race checker
-//! (`xgs_runtime::race`, normally debug-only / `XGS_RACE=1`) forced on,
-//! all over the same generated matrix. The validator's cost is per
-//! task-*endpoint* recording (two atomic ticks) plus a post-run edge walk;
-//! the race checker's is a global-mutex clock join per declared access —
-//! so overhead is expected to be flat in stride until the edge walk
-//! dominates — that expectation is what this binary measures.
+//! Sweeps the parallel factorization with the schedule validator off and
+//! on (every hazard edge checked), plus one run with the pre-execution
+//! graph checker (`XGS_PRECHECK`-style) forced on and one with the dynamic
+//! vector-clock race checker (`xgs_runtime::race`, normally debug-only /
+//! `XGS_RACE=1`) forced on, all over the same generated matrix. The
+//! validator's cost is per task-*endpoint* recording (two atomic ticks)
+//! plus a post-run edge walk; the race checker's is a global-mutex clock
+//! join per declared access.
 //!
 //! ```text
 //! cargo run -p xgs-bench --release --bin validator_overhead
@@ -43,31 +41,12 @@ fn main() {
         precheck: false,
         ..ExecOptions::default()
     };
-    let configs: [(&str, ExecOptions, bool); 6] = [
+    let configs: [(&str, ExecOptions, bool); 4] = [
         ("validate off", base, false),
         (
-            "validate every 64",
+            "validate on",
             ExecOptions {
                 validate: true,
-                validate_every: 64,
-                ..base
-            },
-            false,
-        ),
-        (
-            "validate every 8",
-            ExecOptions {
-                validate: true,
-                validate_every: 8,
-                ..base
-            },
-            false,
-        ),
-        (
-            "validate every 1",
-            ExecOptions {
-                validate: true,
-                validate_every: 1,
                 ..base
             },
             false,
@@ -84,8 +63,8 @@ fn main() {
     ];
 
     println!(
-        "{:>18} | {:>10} {:>12} {:>12} {:>10}",
-        "config", "median s", "edges chk", "edges skip", "vs off"
+        "{:>18} | {:>10} {:>12} {:>10}",
+        "config", "median s", "edges chk", "vs off"
     );
     let mut baseline = 0.0f64;
     for (label, opts, race_on) in configs {
@@ -95,7 +74,6 @@ fn main() {
         xgs_runtime::race::set_enabled(Some(race_on));
         let mut secs = Vec::with_capacity(reps);
         let mut checked = 0u64;
-        let mut skipped = 0u64;
         for _ in 0..reps {
             let f = std::sync::Arc::new(TiledFactor::from_matrix(SymTileMatrix::generate(
                 &kernel,
@@ -108,7 +86,6 @@ fn main() {
             secs.push(s);
             if let Some(v) = report.metrics.and_then(|m| m.validation) {
                 checked = v.edges_checked;
-                skipped = v.edges_skipped;
             }
         }
         let (_, median, _) = quartiles(&mut secs);
@@ -120,12 +97,12 @@ fn main() {
         } else {
             "-".to_string()
         };
-        println!("{label:>18} | {median:>10.3} {checked:>12} {skipped:>12} {delta:>10}");
+        println!("{label:>18} | {median:>10.3} {checked:>12} {delta:>10}");
     }
     xgs_runtime::race::set_enabled(None);
     let races = xgs_runtime::race::race_count();
     println!(
-        "\nrecording = two relaxed-ordering ticks per sampled task; the edge walk\n\
+        "\nrecording = two relaxed-ordering ticks per task; the edge walk\n\
          runs once post-factorization on the coordinator thread. The race-check\n\
          row pays a global-mutex vector-clock join per declared task access\n\
          ({races} race(s) detected — expected 0).\n"

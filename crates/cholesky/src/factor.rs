@@ -377,6 +377,45 @@ mod tests {
     }
 
     #[test]
+    fn nested_factorizations_run_only_on_pool_threads_and_the_caller() {
+        // The PSO shape: a parallel fan-out whose every item factorizes on
+        // the whole pool. Every DAG task must run on one of the pool's
+        // threads or on the thread that started the fan-out.
+        use rayon::prelude::*;
+        let threads = 2;
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .unwrap();
+        let fits: Vec<usize> = (0..4).collect();
+        let traces: Vec<Vec<std::thread::ThreadId>> = pool.install(|| {
+            fits.par_iter()
+                .map(|_| {
+                    let (m, _) = build(300, 50, Variant::MpDense, 0.05);
+                    let f = Arc::new(TiledFactor::from_matrix(m));
+                    let (res, report) = f.factorize_parallel_opts(
+                        0,
+                        ExecOptions {
+                            trace: true,
+                            ..Default::default()
+                        },
+                    );
+                    res.unwrap();
+                    assert_eq!(report.workers, threads, "0 means the whole pool");
+                    report.trace.iter().map(|e| e.thread).collect()
+                })
+                .collect()
+        });
+        let ids: std::collections::HashSet<_> = traces.into_iter().flatten().collect();
+        assert!(
+            ids.len() <= threads + 1,
+            "DAG tasks ran on {} threads; a {threads}-thread pool plus the caller has {}",
+            ids.len(),
+            threads + 1
+        );
+    }
+
+    #[test]
     fn mp_dense_factor_close_to_reference() {
         let (m, exact) = build(400, 40, Variant::MpDense, 0.02);
         let mut f = TiledFactor::from_matrix(m);

@@ -18,7 +18,8 @@ use xgs_tile::{KernelTimeModel, SymTileMatrix, TlrConfig};
 pub enum FactorEngine {
     /// In-process, single-threaded reference loop.
     Sequential,
-    /// In-process task runtime on this many threads (0 = all cores).
+    /// In-process task runtime with this many worker loops on the current
+    /// rayon pool (capped at its size; 0 = the whole pool).
     Threads(usize),
     /// Multi-process 2D block-cyclic sharding on the `xgs-fleet`
     /// supervisor's warm fleet, with standby promotion and panel-replay

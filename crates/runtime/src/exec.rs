@@ -1,26 +1,41 @@
-//! Shared-memory executor: asynchronous task execution over a worker pool.
+//! Shared-memory executor: asynchronous task execution on the rayon pool.
 //!
-//! Ready tasks sit in a priority queue; workers pull the highest-priority
-//! ready task, run it, and release its dependents. With correct hazard
-//! edges from the graph this is observationally equivalent to the
-//! sequential insertion order while exploiting all available concurrency —
-//! the runtime contract the paper's solver is built on.
+//! Ready tasks sit in one priority heap; worker loops pull the
+//! highest-priority ready task, run it, and release its dependents. With
+//! correct hazard edges from the graph this is observationally equivalent
+//! to the sequential insertion order while exploiting all available
+//! concurrency — the runtime contract the paper's solver is built on.
+//!
+//! The executor starts no thread of its own. Its `W` worker loops run as
+//! the chunks of one batch on the current rayon pool (the global pool, or
+//! the one a caller installed), so a factorization nested in a parallel
+//! PSO particle shares the particle fan-out's threads instead of adding
+//! more. The pool only supplies threads; the heap, its condvar and the
+//! dependency counters are the scheduling policy. The pool's caller-drains
+//! rule keeps this deadlock-free on a 1-thread pool, under nesting and on a
+//! busy pool: the calling thread runs a loop itself, any one loop drains
+//! the whole graph, and a loop parks only while another loop is running a
+//! task.
 //!
 //! That contract is *checked*, not assumed: every run records per-task
 //! start/end sequence numbers, and [`crate::validate`] re-derives the
 //! hazard edges from the declared accesses and asserts the schedule
 //! respected each one. Validation is on by default in debug builds (so
 //! every `cargo test` execution is validated) and opt-in in release via
-//! [`ExecOptions::validate`]. Runs also aggregate a [`MetricsReport`]
-//! (per-kernel timings, queue depth, worker balance, conversion traffic).
+//! [`ExecOptions::validate`]. Every run also aggregates a
+//! [`MetricsReport`] (per-kernel timings, queue depth, worker balance,
+//! conversion traffic).
 
 use crate::convert::conversion_counts;
 use crate::graph::{Access, TaskGraph, TaskId};
 use crate::metrics::{KernelStats, MetricsReport, QueueDepthStats, WorkerStats};
 use crate::stats::TraceEvent;
-use crate::validate::{check_schedule, describe_violations, TaskOrder, UNRECORDED};
+use crate::validate::{check_schedule, describe_violations, TaskOrder};
 use parking_lot::{Condvar, Mutex};
+use rayon::prelude::*;
+use std::any::Any;
 use std::collections::{BinaryHeap, HashMap};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;
 
@@ -31,14 +46,14 @@ pub struct ExecReport {
     pub wall_seconds: f64,
     /// Number of tasks executed.
     pub tasks: usize,
-    /// Worker count used.
+    /// Worker loops used.
     pub workers: usize,
     /// Per-worker busy seconds.
     pub busy_seconds: Vec<f64>,
     /// Execution trace (one event per task) when tracing was requested.
     pub trace: Vec<TraceEvent>,
-    /// Aggregated execution metrics (when [`ExecOptions::metrics`] was on,
-    /// the default).
+    /// Aggregated execution metrics. The executor always fills this; it
+    /// is `None` only in reports assembled elsewhere.
     pub metrics: Option<MetricsReport>,
 }
 
@@ -76,40 +91,16 @@ impl ExecReport {
     }
 }
 
-/// Ready-task ordering policy — PaRSEC ships several scheduler heuristics;
-/// the same knob is exposed here for the scheduling ablations.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SchedPolicy {
-    /// Highest task priority first (critical-path heuristic; the default).
-    Priority,
-    /// Oldest ready task first (breadth-first; maximizes fan-out).
-    Fifo,
-    /// Newest ready task first (depth-first; maximizes locality).
-    Lifo,
-}
-
 /// Execution knobs for [`execute_opts`].
 #[derive(Clone, Copy, Debug)]
 pub struct ExecOptions {
     /// Record per-task start/end times into [`ExecReport::trace`].
     pub trace: bool,
-    /// Ready-task ordering policy.
-    pub policy: SchedPolicy,
-    /// Run the post-hoc schedule validator ([`crate::validate`]) and panic
-    /// on any violated hazard edge. Defaults to on in debug builds (every
-    /// test execution is checked) and off in release; set explicitly to
-    /// force either way.
+    /// Run the post-hoc schedule validator ([`crate::validate`]) over every
+    /// hazard edge and panic on any violated one. Defaults to on in debug
+    /// builds (every test execution is checked) and off in release; set
+    /// explicitly to force either way.
     pub validate: bool,
-    /// Sampling stride for the validator's sequence recording: only every
-    /// `k`-th task (by insertion index) draws and stores its start/end
-    /// ticks; hazard edges with an unsampled endpoint are skipped and
-    /// censused in [`crate::validate::ValidationSummary::edges_skipped`].
-    /// `1` (the default) records everything; larger strides trade coverage
-    /// for less contention on the global tick counter in release-mode
-    /// validated runs. `0` is treated as `1`.
-    pub validate_every: usize,
-    /// Aggregate a [`MetricsReport`] onto the report (cheap; default on).
-    pub metrics: bool,
     /// Run the pre-execution graph checker (`xgs-analysis`) before any
     /// worker starts: cycle detection over the dependency lists, and a
     /// cross-check that the statically derived hazard-edge set is
@@ -125,10 +116,7 @@ impl Default for ExecOptions {
     fn default() -> ExecOptions {
         ExecOptions {
             trace: false,
-            policy: SchedPolicy::Priority,
             validate: cfg!(debug_assertions),
-            validate_every: 1,
-            metrics: true,
             precheck: precheck_env_default(),
         }
     }
@@ -210,21 +198,14 @@ impl PartialOrd for ReadyTask {
     }
 }
 
-/// Map a task's nominal priority to the heap key the policy wants.
-fn effective_priority(policy: SchedPolicy, priority: i64, idx: usize) -> i64 {
-    match policy {
-        SchedPolicy::Priority => priority,
-        // FIFO: earlier insertion = higher key (the heap breaks priority
-        // ties by id already, so collapse priorities entirely).
-        SchedPolicy::Fifo => -(idx as i64),
-        SchedPolicy::Lifo => idx as i64,
-    }
-}
-
-/// Ready queue plus its depth census, updated under the same lock.
+/// Ready queue, its depth census and the abort state, under one lock.
 struct QueueState {
     heap: BinaryHeap<ReadyTask>,
     depth: QueueDepthStats,
+    /// First panic payload of a task. Once set, every loop exits (the
+    /// panicked task's dependents can never become ready) and the caller
+    /// rethrows it.
+    panic: Option<Box<dyn Any + Send>>,
 }
 
 struct Shared {
@@ -236,7 +217,7 @@ struct Shared {
     seq: AtomicU64,
 }
 
-/// Worker-thread-local accumulation, merged after the pool joins.
+/// Per-loop accumulation, merged after the batch joins.
 struct WorkerScratch {
     busy: f64,
     tasks: u64,
@@ -245,8 +226,8 @@ struct WorkerScratch {
     trace: Vec<TraceEvent>,
 }
 
-/// Execute a task graph on `workers` threads (0 = all logical CPUs) with
-/// the default critical-path priority policy.
+/// Execute a task graph on `workers` loops (0 = the whole pool) by task
+/// priority (critical-path heuristic).
 ///
 /// `trace` records per-task start/end times (adds a little overhead).
 pub fn execute(graph: TaskGraph, workers: usize, trace: bool) -> ExecReport {
@@ -260,45 +241,31 @@ pub fn execute(graph: TaskGraph, workers: usize, trace: bool) -> ExecReport {
     )
 }
 
-/// [`execute`] with an explicit [`SchedPolicy`].
-pub fn execute_with_policy(
-    graph: TaskGraph,
-    workers: usize,
-    trace: bool,
-    policy: SchedPolicy,
-) -> ExecReport {
-    execute_opts(
-        graph,
-        workers,
-        ExecOptions {
-            trace,
-            policy,
-            ..ExecOptions::default()
-        },
-    )
-}
-
-/// Execute a task graph with full control over tracing, scheduling policy,
-/// schedule validation, and metrics collection.
+/// Execute a task graph with full control over tracing, schedule
+/// validation and the pre-execution check.
+///
+/// The graph runs on `min(workers, rayon::current_num_threads())` worker
+/// loops; `workers == 0` means the whole current pool.
 ///
 /// # Panics
 ///
-/// When [`ExecOptions::validate`] is set and the realized schedule
-/// violated a hazard edge — that is a runtime bug, never a user error, so
-/// it is fatal by design.
-#[allow(clippy::needless_range_loop)]
+/// When a task panics: the other loops stop taking tasks and the first
+/// payload is rethrown here. When [`ExecOptions::validate`] is set and the
+/// realized schedule violated a hazard edge — that is a runtime bug, never
+/// a user error, so it is fatal by design.
 pub fn execute_opts(graph: TaskGraph, workers: usize, opts: ExecOptions) -> ExecReport {
+    let pool = rayon::current_num_threads();
     let workers = if workers == 0 {
-        crate::logical_cores()
+        pool
     } else {
-        workers
+        workers.min(pool)
     };
     let n = graph.len();
     let conversions_before = conversion_counts();
     // Dynamic race checking (vector clocks over the declared dependency
     // edges): on in debug builds / under XGS_RACE=1. Each run namespaces
     // its per-datum edges and cells under a fresh scope id, retired after
-    // the pool joins.
+    // the batch joins.
     let race_scope = crate::race::enabled().then(crate::race::new_scope);
 
     // Unpack the graph into shared, lock-free-readable structures.
@@ -323,21 +290,21 @@ pub fn execute_opts(graph: TaskGraph, workers: usize, opts: ExecOptions) -> Exec
         }
         if t.n_deps == 0 {
             initial_ready.push(ReadyTask {
-                priority: effective_priority(opts.policy, t.priority, idx),
+                priority: t.priority,
                 id: TaskId(idx),
             });
         }
     }
 
     // Pre-execution graph check: prove the graph acyclic (a cycle would
-    // hang the pool — the post-run validator can never see it because a
+    // hang the loops — the post-run validator can never see it because a
     // cyclic graph never completes) and prove the static hazard-edge
-    // derivation agrees with the validator's, before any worker spawns.
+    // derivation agrees with the validator's, before any loop starts.
     if opts.precheck {
         precheck_graph(&dependents, &accesses, &kinds, &coords);
     }
-    // Closures must be callable from any worker; wrap in per-task Mutex-free
-    // Option slots guarded by the DAG's exclusivity (each task runs once).
+    // Closures must be callable from any loop; wrap in per-task slots
+    // guarded by the DAG's exclusivity (each task runs once).
     #[allow(clippy::type_complexity)]
     let closures: Vec<Mutex<Option<Box<dyn FnOnce() + Send>>>> =
         closures.into_iter().map(Mutex::new).collect();
@@ -346,6 +313,7 @@ pub fn execute_opts(graph: TaskGraph, workers: usize, opts: ExecOptions) -> Exec
         queue: Mutex::new(QueueState {
             heap: initial_ready.into_iter().collect(),
             depth: QueueDepthStats::default(),
+            panic: None,
         }),
         available: Condvar::new(),
         remaining: AtomicUsize::new(n),
@@ -355,174 +323,161 @@ pub fn execute_opts(graph: TaskGraph, workers: usize, opts: ExecOptions) -> Exec
     // each slot is written once. Relaxed suffices: both draws sit inside
     // the happens-before chain the dependency release already establishes,
     // and a single atomic's modification order is consistent with it.
-    // Slots start at the UNRECORDED sentinel: a task the sampling stride
-    // passes over simply never writes, and the validator skips its edges.
-    let validate_every = opts.validate_every.max(1);
     let order: Vec<(AtomicU64, AtomicU64)> = if opts.validate {
         (0..n)
-            .map(|_| (AtomicU64::new(UNRECORDED), AtomicU64::new(UNRECORDED)))
+            .map(|_| (AtomicU64::new(0), AtomicU64::new(0)))
             .collect()
     } else {
         Vec::new()
     };
 
     let start = Instant::now();
-    let mut scratches: Vec<WorkerScratch> = Vec::with_capacity(workers);
-
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(workers);
-        for w in 0..workers {
-            let shared = &shared;
-            let closures = &closures;
-            let dependents = &dependents;
-            let dep_counts = &dep_counts;
-            let priorities = &priorities;
-            let kinds = &kinds;
-            let coords = &coords;
-            let order = &order;
-            let accesses = &accesses;
-            handles.push(scope.spawn(move || {
-                let mut scratch = WorkerScratch {
-                    busy: 0.0,
-                    tasks: 0,
-                    parks: 0,
-                    kernels: HashMap::new(),
-                    trace: Vec::new(),
-                };
-                'run: loop {
-                    // Grab the best ready task or wait for one.
-                    let task = {
-                        let mut q = shared.queue.lock();
-                        loop {
-                            if shared.remaining.load(Ordering::Acquire) == 0 {
-                                break 'run;
-                            }
-                            if let Some(t) = q.heap.pop() {
-                                let depth = q.heap.len();
-                                q.depth.sample(depth);
-                                break t;
-                            }
-                            scratch.parks += 1;
-                            shared.available.wait(&mut q);
-                        }
-                    };
-                    // Sampled recording: unsampled tasks skip both tick
-                    // draws entirely (their slots keep the UNRECORDED
-                    // sentinel), so the counter costs nothing for them.
-                    let sampled = task.id.0 % validate_every == 0;
-                    let start_seq = if sampled {
-                        shared.seq.fetch_add(1, Ordering::Relaxed)
-                    } else {
-                        UNRECORDED
-                    };
-                    // Race model: inherit the per-datum edges this task's
-                    // predecessors released, then declare the accesses.
-                    // Acquires must precede the access checks — the edge
-                    // is what orders this task after its predecessors.
-                    if let Some(rs) = race_scope {
-                        use crate::graph::AccessMode;
-                        for a in &accesses[task.id.0] {
-                            crate::race::acquire(crate::race::SPACE_EXEC, rs, a.data.0);
-                        }
-                        for a in &accesses[task.id.0] {
-                            match a.mode {
-                                AccessMode::Read => {
-                                    crate::race::read(crate::race::SPACE_EXEC, rs, a.data.0)
-                                }
-                                AccessMode::Write => {
-                                    crate::race::write(crate::race::SPACE_EXEC, rs, a.data.0)
-                                }
-                            }
-                        }
-                    }
-                    let t0 = start.elapsed().as_secs_f64();
-                    if let Some(f) = closures[task.id.0].lock().take() {
-                        f();
-                    }
-                    let t1 = start.elapsed().as_secs_f64();
-                    // Publish this task's effects on its data *before* any
-                    // dependent can be released below — a successor that
-                    // starts without this edge in its clock is exactly the
-                    // race the checker exists to catch.
-                    if let Some(rs) = race_scope {
-                        for a in &accesses[task.id.0] {
-                            crate::race::release(crate::race::SPACE_EXEC, rs, a.data.0);
-                        }
-                    }
-                    // The end tick must be drawn before dependents are
-                    // released, or a successor could legitimately start
-                    // "before" its predecessor finished.
-                    if sampled {
-                        let end_seq = shared.seq.fetch_add(1, Ordering::Relaxed);
-                        if let Some((s, e)) = order.get(task.id.0) {
-                            s.store(start_seq, Ordering::Relaxed);
-                            e.store(end_seq, Ordering::Relaxed);
-                        }
-                    }
-                    scratch.busy += t1 - t0;
-                    scratch.tasks += 1;
-                    let kind = kinds[task.id.0];
-                    if opts.metrics {
-                        scratch
-                            .kernels
-                            .entry(kind)
-                            .or_insert_with(|| KernelStats::new(kind))
-                            .record(t1 - t0);
-                    }
-                    if opts.trace {
-                        scratch.trace.push(TraceEvent {
-                            task: task.id,
-                            kind,
-                            coords: coords[task.id.0],
-                            worker: w,
-                            start: t0,
-                            end: t1,
-                        });
-                    }
-
-                    // Release dependents.
-                    let mut newly_ready = Vec::new();
-                    for &dep in &dependents[task.id.0] {
-                        if dep_counts[dep.0].fetch_sub(1, Ordering::AcqRel) == 1 {
-                            newly_ready.push(ReadyTask {
-                                priority: effective_priority(opts.policy, priorities[dep.0], dep.0),
-                                id: dep,
-                            });
-                        }
-                    }
-                    let finished = shared.remaining.fetch_sub(1, Ordering::AcqRel) == 1;
-                    if !newly_ready.is_empty() {
-                        let mut q = shared.queue.lock();
-                        for r in newly_ready {
-                            q.heap.push(r);
-                        }
-                        let depth = q.heap.len();
-                        q.depth.sample(depth);
-                        drop(q);
-                        shared.available.notify_all();
-                    }
-                    if finished {
-                        // Take the queue lock before notifying: a waiter is
-                        // then either before its remaining-check (and will
-                        // observe 0) or already parked (and gets the
-                        // notification) — no lost wakeup.
-                        drop(shared.queue.lock());
-                        shared.available.notify_all();
+    let run_loop = |&w: &usize| -> WorkerScratch {
+        let thread = std::thread::current().id();
+        let mut scratch = WorkerScratch {
+            busy: 0.0,
+            tasks: 0,
+            parks: 0,
+            kernels: HashMap::new(),
+            trace: Vec::new(),
+        };
+        'run: loop {
+            // Grab the best ready task or wait for one.
+            let task = {
+                let mut q = shared.queue.lock();
+                loop {
+                    if q.panic.is_some() || shared.remaining.load(Ordering::Acquire) == 0 {
                         break 'run;
                     }
+                    if let Some(t) = q.heap.pop() {
+                        let depth = q.heap.len();
+                        q.depth.sample(depth);
+                        break t;
+                    }
+                    scratch.parks += 1;
+                    shared.available.wait(&mut q);
                 }
-                scratch
-            }));
+            };
+            let start_seq = shared.seq.fetch_add(1, Ordering::Relaxed);
+            // Race model: inherit the per-datum edges this task's
+            // predecessors released, then declare the accesses. Acquires
+            // must precede the access checks — the edge is what orders
+            // this task after its predecessors.
+            if let Some(rs) = race_scope {
+                use crate::graph::AccessMode;
+                for a in &accesses[task.id.0] {
+                    crate::race::acquire(crate::race::SPACE_EXEC, rs, a.data.0);
+                }
+                for a in &accesses[task.id.0] {
+                    match a.mode {
+                        AccessMode::Read => {
+                            crate::race::read(crate::race::SPACE_EXEC, rs, a.data.0)
+                        }
+                        AccessMode::Write => {
+                            crate::race::write(crate::race::SPACE_EXEC, rs, a.data.0)
+                        }
+                    }
+                }
+            }
+            let t0 = start.elapsed().as_secs_f64();
+            let f = closures[task.id.0].lock().take();
+            if let Err(payload) = catch_unwind(AssertUnwindSafe(|| f.map(|f| f()))) {
+                // Under the queue lock, so a loop is either before its
+                // abort check (and sees the payload) or parked (and gets
+                // the notification).
+                shared.queue.lock().panic.get_or_insert(payload);
+                shared.available.notify_all();
+                break 'run;
+            }
+            let t1 = start.elapsed().as_secs_f64();
+            // Publish this task's effects on its data *before* any
+            // dependent can be released below — a successor that starts
+            // without this edge in its clock is exactly the race the
+            // checker exists to catch.
+            if let Some(rs) = race_scope {
+                for a in &accesses[task.id.0] {
+                    crate::race::release(crate::race::SPACE_EXEC, rs, a.data.0);
+                }
+            }
+            // The end tick must be drawn before dependents are released,
+            // or a successor could legitimately start "before" its
+            // predecessor finished.
+            let end_seq = shared.seq.fetch_add(1, Ordering::Relaxed);
+            if let Some((s, e)) = order.get(task.id.0) {
+                s.store(start_seq, Ordering::Relaxed);
+                e.store(end_seq, Ordering::Relaxed);
+            }
+            scratch.busy += t1 - t0;
+            scratch.tasks += 1;
+            let kind = kinds[task.id.0];
+            scratch
+                .kernels
+                .entry(kind)
+                .or_insert_with(|| KernelStats::new(kind))
+                .record(t1 - t0);
+            if opts.trace {
+                scratch.trace.push(TraceEvent {
+                    task: task.id,
+                    kind,
+                    coords: coords[task.id.0],
+                    worker: w,
+                    thread,
+                    start: t0,
+                    end: t1,
+                });
+            }
+
+            // Release dependents.
+            let mut newly_ready = Vec::new();
+            for &dep in &dependents[task.id.0] {
+                if dep_counts[dep.0].fetch_sub(1, Ordering::AcqRel) == 1 {
+                    newly_ready.push(ReadyTask {
+                        priority: priorities[dep.0],
+                        id: dep,
+                    });
+                }
+            }
+            let finished = shared.remaining.fetch_sub(1, Ordering::AcqRel) == 1;
+            if !newly_ready.is_empty() {
+                let mut q = shared.queue.lock();
+                for r in newly_ready {
+                    q.heap.push(r);
+                }
+                let depth = q.heap.len();
+                q.depth.sample(depth);
+                drop(q);
+                shared.available.notify_all();
+            }
+            if finished {
+                // Take the queue lock before notifying: a waiter is then
+                // either before its remaining-check (and will observe 0) or
+                // already parked (and gets the notification) — no lost
+                // wakeup.
+                drop(shared.queue.lock());
+                shared.available.notify_all();
+                break 'run;
+            }
         }
-        for h in handles {
-            scratches.push(h.join().expect("worker thread panicked"));
-        }
-    });
+        scratch
+    };
+    // One chunk per loop (`workers` never exceeds the pool size); whichever
+    // thread claims a chunk, the caller included, runs that loop to the
+    // end, and `collect` returns the scratches in loop order.
+    let loops: Vec<usize> = (0..workers).collect();
+    let mut scratches: Vec<WorkerScratch> = loops.par_iter().map(run_loop).collect();
 
     let wall = start.elapsed().as_secs_f64();
 
     if let Some(rs) = race_scope {
         crate::race::retire(crate::race::SPACE_EXEC, rs);
+    }
+    let QueueState {
+        depth: queue_depth,
+        panic,
+        ..
+    } = shared.queue.into_inner();
+    if let Some(payload) = panic {
+        resume_unwind(payload);
     }
 
     let validation = if opts.validate {
@@ -545,8 +500,7 @@ pub fn execute_opts(graph: TaskGraph, workers: usize, opts: ExecOptions) -> Exec
                     })
                     .collect();
                 panic!(
-                    "executor bug under {:?} policy with {} worker(s): {}",
-                    opts.policy,
+                    "executor bug with {} worker(s): {}",
                     workers,
                     describe_violations(&violations, &labels)
                 );
@@ -565,38 +519,36 @@ pub fn execute_opts(graph: TaskGraph, workers: usize, opts: ExecOptions) -> Exec
         trace_events.sort_by(|a, b| a.start.total_cmp(&b.start));
     }
 
-    let metrics = opts.metrics.then(|| {
-        let mut kernels: HashMap<&'static str, KernelStats> = HashMap::new();
-        for s in &scratches {
-            for (kind, ks) in &s.kernels {
-                kernels
-                    .entry(kind)
-                    .or_insert_with(|| KernelStats::new(kind))
-                    .merge(ks);
-            }
+    let mut kernels: HashMap<&'static str, KernelStats> = HashMap::new();
+    for s in &scratches {
+        for (kind, ks) in &s.kernels {
+            kernels
+                .entry(kind)
+                .or_insert_with(|| KernelStats::new(kind))
+                .merge(ks);
         }
-        let mut kernels: Vec<KernelStats> = kernels.into_values().collect();
-        kernels.sort_by(|a, b| b.total_seconds.total_cmp(&a.total_seconds));
-        MetricsReport {
-            wall_seconds: wall,
-            tasks: n,
-            workers,
-            kernels,
-            queue_depth: shared.queue.into_inner().depth,
-            worker_stats: scratches
-                .iter()
-                .map(|s| WorkerStats {
-                    busy_seconds: s.busy,
-                    tasks: s.tasks,
-                    parks: s.parks,
-                })
-                .collect(),
-            conversions: conversion_counts().since(&conversions_before),
-            wire: Vec::new(),
-            validation,
-            pool: None,
-        }
-    });
+    }
+    let mut kernels: Vec<KernelStats> = kernels.into_values().collect();
+    kernels.sort_by(|a, b| b.total_seconds.total_cmp(&a.total_seconds));
+    let metrics = MetricsReport {
+        wall_seconds: wall,
+        tasks: n,
+        workers,
+        kernels,
+        queue_depth,
+        worker_stats: scratches
+            .iter()
+            .map(|s| WorkerStats {
+                busy_seconds: s.busy,
+                tasks: s.tasks,
+                parks: s.parks,
+            })
+            .collect(),
+        conversions: conversion_counts().since(&conversions_before),
+        wire: Vec::new(),
+        validation,
+        pool: None,
+    };
 
     ExecReport {
         wall_seconds: wall,
@@ -604,7 +556,7 @@ pub fn execute_opts(graph: TaskGraph, workers: usize, opts: ExecOptions) -> Exec
         workers,
         busy_seconds,
         trace: trace_events,
-        metrics,
+        metrics: Some(metrics),
     }
 }
 
@@ -714,21 +666,6 @@ mod tests {
     }
 
     #[test]
-    fn trace_covers_all_tasks() {
-        let mut g = TaskGraph::new();
-        for i in 0..50 {
-            g.insert("t", vec![Access::write(DataId(i))], 0, 0.0, || {
-                std::hint::black_box(0u64);
-            });
-        }
-        let r = execute(g, 3, true);
-        assert_eq!(r.trace.len(), 50);
-        assert!(r.trace.iter().all(|e| e.end >= e.start));
-        assert!(r.efficiency() <= 1.0 + 1e-9);
-        assert!(r.imbalance() >= 1.0 - 1e-9);
-    }
-
-    #[test]
     fn empty_graph_returns_clean_report() {
         let r = execute(TaskGraph::new(), 2, true);
         assert_eq!(r.tasks, 0);
@@ -782,177 +719,39 @@ mod tests {
     }
 
     #[test]
-    fn wide_fan_uses_multiple_workers() {
-        // 64 independent 2ms sleeps on 8 workers: multiple workers must
-        // participate and the wall time must beat the 128ms serial time
-        // with margin. (Sleeps overlap even on one CPU; the generous bound
-        // keeps the test stable when the host is otherwise loaded.)
-        let mut g = TaskGraph::new();
-        for i in 0..64 {
-            g.insert("sleep", vec![Access::write(DataId(i))], 0, 0.0, || {
-                std::thread::sleep(std::time::Duration::from_millis(2));
-            });
-        }
-        let r = execute(g, 8, true);
-        let distinct: std::collections::HashSet<usize> = r.trace.iter().map(|e| e.worker).collect();
-        assert!(
-            distinct.len() >= 2,
-            "only {} worker(s) ran tasks",
-            distinct.len()
-        );
-        assert!(
-            r.wall_seconds < 0.100,
-            "no parallelism observed: {}s for 128ms of serial sleeps",
-            r.wall_seconds
-        );
-    }
-
-    #[test]
-    fn metrics_cover_kernels_workers_and_queue() {
-        let mut g = TaskGraph::new();
-        let d = DataId(0);
-        for i in 0..40u64 {
-            let kind = if i % 2 == 0 { "even" } else { "odd" };
-            g.insert(
-                kind,
-                vec![Access::write(DataId(i % 5)), Access::read(d)],
-                0,
-                0.0,
-                || {
-                    std::hint::black_box((0..500u64).sum::<u64>());
-                },
-            );
-        }
-        let r = execute_opts(
-            g,
-            3,
-            ExecOptions {
-                validate: true,
-                ..ExecOptions::default()
-            },
-        );
-        let m = r.metrics.expect("metrics on by default");
-        assert_eq!(m.tasks, 40);
-        assert_eq!(m.workers, 3);
-        assert_eq!(m.worker_stats.len(), 3);
-        assert_eq!(m.kernels.iter().map(|k| k.count).sum::<u64>(), 40);
-        let kinds: Vec<&str> = m.kernels.iter().map(|k| k.kind).collect();
-        assert!(kinds.contains(&"even") && kinds.contains(&"odd"));
-        assert_eq!(m.worker_stats.iter().map(|w| w.tasks).sum::<u64>(), 40);
-        assert!(m.queue_depth.samples > 0);
-        let v = m.validation.expect("validator requested");
-        assert!(v.edges_checked > 0, "shared read datum must create edges");
-        // The JSON export round-trips the structure without NaNs.
-        let json = m.to_json();
-        assert!(json.contains("\"tasks\":40"));
-        assert!(!json.contains("NaN"));
-    }
-
-    #[test]
-    fn metrics_opt_out_leaves_report_lean() {
-        let mut g = TaskGraph::new();
-        g.insert("t", vec![Access::write(DataId(0))], 0, 0.0, || {});
-        let r = execute_opts(
-            g,
-            1,
-            ExecOptions {
-                metrics: false,
-                validate: false,
-                ..ExecOptions::default()
-            },
-        );
-        assert!(r.metrics.is_none());
-    }
-
-    #[test]
-    fn sampled_validation_skips_edges_but_passes() {
-        // A write chain over one datum: 99 consecutive WAW edges. With a
-        // stride of 3, consecutive tasks are never both sampled, so every
-        // edge lands in edges_skipped; the run must still pass cleanly.
-        let mut g = TaskGraph::new();
-        for _ in 0..100u64 {
-            g.insert("w", vec![Access::write(DataId(0))], 0, 0.0, || {});
-        }
-        let r = execute_opts(
-            g,
-            4,
-            ExecOptions {
-                validate: true,
-                validate_every: 3,
-                ..ExecOptions::default()
-            },
-        );
-        let v = r.metrics.unwrap().validation.unwrap();
-        assert_eq!(v.edges_checked, 0);
-        assert_eq!(v.edges_skipped, 99);
-
-        // Stride 1 through the same machinery checks everything.
-        let mut g = TaskGraph::new();
-        for _ in 0..100u64 {
-            g.insert("w", vec![Access::write(DataId(0))], 0, 0.0, || {});
-        }
-        let r = execute_opts(
-            g,
-            4,
-            ExecOptions {
-                validate: true,
-                validate_every: 1,
-                ..ExecOptions::default()
-            },
-        );
-        let v = r.metrics.unwrap().validation.unwrap();
-        assert_eq!(v.edges_checked, 99);
-        assert_eq!(v.edges_skipped, 0);
-    }
-
-    #[test]
-    fn validate_every_zero_is_treated_as_one() {
-        let mut g = TaskGraph::new();
-        for i in 0..10u64 {
-            g.insert("t", vec![Access::write(DataId(i % 2))], 0, 0.0, || {});
-        }
-        let r = execute_opts(
-            g,
-            2,
-            ExecOptions {
-                validate: true,
-                validate_every: 0,
-                ..ExecOptions::default()
-            },
-        );
-        let v = r.metrics.unwrap().validation.unwrap();
-        assert_eq!(v.edges_skipped, 0);
-        assert_eq!(v.edges_checked, 8);
-    }
-
-    #[test]
-    fn validator_runs_on_every_policy() {
-        for policy in [SchedPolicy::Priority, SchedPolicy::Fifo, SchedPolicy::Lifo] {
+    fn validator_runs_on_every_priority_pattern() {
+        // Constant priority pops ready tasks oldest-first (FIFO), the
+        // insertion index newest-first (LIFO); the mix exercises the heap.
+        for pattern in ["constant", "insertion index", "mixed"] {
+            let priority = |i: u64| match pattern {
+                "constant" => 0,
+                "insertion index" => i as i64,
+                _ => (i % 3) as i64,
+            };
             let mut g = TaskGraph::new();
             let d = DataId(9);
             for i in 0..100u64 {
                 g.insert(
                     "t",
                     vec![Access::write(DataId(i % 11)), Access::read(d)],
-                    (i % 3) as i64,
+                    priority(2 * i),
                     0.0,
                     || {},
                 );
                 if i % 10 == 0 {
-                    g.insert("w", vec![Access::write(d)], 0, 0.0, || {});
+                    g.insert("w", vec![Access::write(d)], priority(2 * i + 1), 0.0, || {});
                 }
             }
             let r = execute_opts(
                 g,
                 4,
                 ExecOptions {
-                    policy,
                     validate: true,
                     ..ExecOptions::default()
                 },
             );
             let v = r.metrics.unwrap().validation.unwrap();
-            assert!(v.edges_checked > 0, "{policy:?}: no edges checked");
+            assert!(v.edges_checked > 0, "{pattern}: no edges checked");
         }
     }
 

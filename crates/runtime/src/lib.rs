@@ -10,7 +10,8 @@
 //!   data handles; dependencies (RAW/WAR/WAW) are inferred in insertion
 //!   order, exactly like a superscalar/dataflow runtime unrolling a DAG.
 //! * [`exec`] — a multi-worker executor with critical-path priorities and
-//!   per-worker execution traces (busy time, task counts, imbalance).
+//!   per-worker execution traces (busy time, task counts, imbalance),
+//!   running its worker loops on the shared rayon pool.
 //! * [`convert`] — global counters for the on-demand precision conversions
 //!   ("PaRSEC will move and convert on-the-fly the operands ... to match
 //!   the precision at the receiver side").
@@ -33,10 +34,7 @@ pub use convert::{conversion_counts, count_conversion, reset_conversion_counts, 
 pub use distsim::{
     block_cyclic_owner, simulate, simulate_with_metrics, MachineSpec, SimResult, SimTask,
 };
-pub use exec::{
-    execute, execute_opts, execute_with_policy, precheck_env_default, ExecOptions, ExecReport,
-    SchedPolicy,
-};
+pub use exec::{execute, execute_opts, precheck_env_default, ExecOptions, ExecReport};
 pub use graph::{Access, AccessMode, DataId, TaskGraph, TaskId};
 pub use json::{escape_json, parse_json, JsonError, JsonValue};
 pub use metrics::{
@@ -51,14 +49,14 @@ pub use shard::{
 pub use stats::{chrome_trace_json, kind_summary, TraceEvent};
 pub use validate::{
     check_schedule, crosscheck_static_edges, derived_edges, Hazard, TaskOrder, ValidationSummary,
-    Violation, UNRECORDED,
+    Violation,
 };
 
 /// The one shared logical-core probe.
 ///
-/// Every layer that sizes itself by the machine — the executor's default
-/// worker count, the shard workers' JOIN core advertisement, the bench
-/// defaults, and (via the same `num_cpus` vendor shim) the `rayon` pool —
+/// Every layer that sizes itself by the machine — the shard workers' JOIN
+/// core advertisement, the bench defaults, and (via the same `num_cpus`
+/// vendor shim) the `rayon` pool the executor runs on —
 /// must go through this helper so they all advertise the same number.
 /// Probing `available_parallelism` or `num_cpus::get()` directly anywhere
 /// else is flagged by the `no-raw-parallelism-probe` lint.

@@ -312,9 +312,9 @@ impl MetricsReport {
             Some(v) => format!(
                 concat!(
                     "{{\"edges_checked\":{},\"raw_edges\":{},",
-                    "\"war_edges\":{},\"waw_edges\":{},\"edges_skipped\":{}}}"
+                    "\"war_edges\":{},\"waw_edges\":{}}}"
                 ),
-                v.edges_checked, v.raw_edges, v.war_edges, v.waw_edges, v.edges_skipped
+                v.edges_checked, v.raw_edges, v.war_edges, v.waw_edges
             ),
             None => "null".to_string(),
         };
@@ -496,7 +496,6 @@ impl MetricsReport {
                     raw_edges: count(v.get("raw_edges")),
                     war_edges: count(v.get("war_edges")),
                     waw_edges: count(v.get("waw_edges")),
-                    edges_skipped: count(v.get("edges_skipped")),
                 });
             }
             _ => {}
@@ -595,7 +594,6 @@ mod tests {
                 raw_edges: 2,
                 war_edges: 1,
                 waw_edges: 1,
-                edges_skipped: 3,
             }),
             ..MetricsReport::default()
         };
@@ -714,7 +712,6 @@ mod tests {
                 raw_edges: 6,
                 war_edges: 3,
                 waw_edges: 1,
-                edges_skipped: 7,
             }),
             pool: Some(PoolCounters {
                 workers: 4,
@@ -791,6 +788,12 @@ mod tests {
         assert!(minimal.kernels.is_empty());
         assert!(minimal.wire.is_empty());
         assert!(minimal.validation.is_none());
+        // Records written while the validator could sample tasks still
+        // carry `edges_skipped`; the reader ignores the key.
+        let old =
+            MetricsReport::from_json(r#"{"validation":{"edges_checked":3,"edges_skipped":2}}"#)
+                .unwrap();
+        assert_eq!(old.validation.unwrap().edges_checked, 3);
     }
 
     #[test]

@@ -60,7 +60,10 @@ pub struct Race {
 }
 
 /// Sparse vector clock: thread slot → event count. Sparse because slots
-/// are never recycled (scoped executor pools mint fresh threads per run).
+/// are never recycled: every thread that ever touches the checker (the
+/// workers of each rayon pool built, callers, server threads) keeps its
+/// own slot, while any one clock sees only the threads it synchronized
+/// with.
 type VClock = HashMap<u32, u64>;
 
 fn join(into: &mut VClock, from: &VClock) {

@@ -10,7 +10,11 @@ pub struct TraceEvent {
     /// Tile coordinates `(i, j)` when the task was inserted with
     /// [`crate::TaskGraph::insert_at`].
     pub coords: Option<(u32, u32)>,
+    /// Worker loop that ran the task.
     pub worker: usize,
+    /// OS thread that ran the loop: a thread of the executing rayon pool,
+    /// or the thread that called the executor.
+    pub thread: std::thread::ThreadId,
     /// Seconds since execution start.
     pub start: f64,
     pub end: f64,
@@ -76,6 +80,7 @@ mod tests {
             kind,
             coords: None,
             worker,
+            thread: std::thread::current().id(),
             start,
             end,
         }
@@ -89,6 +94,7 @@ mod tests {
                 kind: "potrf",
                 coords: Some((3, 3)),
                 worker: 0,
+                thread: std::thread::current().id(),
                 start: 0.0,
                 end: 0.5e-3,
             },

@@ -1,5 +1,5 @@
-//! Inspecting the dynamic runtime: execution traces, load balance, and
-//! scheduler policy comparison on a real MP+TLR factorization DAG.
+//! Inspecting the dynamic runtime: execution traces, load balance, and a
+//! comparison of ready-task orders on a real MP+TLR factorization DAG.
 //!
 //! Writes a Chrome-Tracing JSON (`target/cholesky_trace.json`, loadable in
 //! `chrome://tracing` or Perfetto) and prints the per-kernel time budget —
@@ -15,7 +15,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
 use xgs_cholesky::TiledFactor;
-use xgs_runtime::{chrome_trace_json, execute_with_policy, kind_summary, SchedPolicy};
+use xgs_runtime::{chrome_trace_json, execute, kind_summary};
 
 fn build_matrix() -> SymTileMatrix {
     let mut rng = StdRng::seed_from_u64(12);
@@ -93,7 +93,7 @@ fn main() {
             }
         }
     }
-    let traced = execute_with_policy(graph, 0, true, SchedPolicy::Priority);
+    let traced = execute(graph, 0, true);
     println!("\nper-kernel budget (synthetic costs):");
     for (kind, count, total) in kind_summary(&traced.trace) {
         println!("  {kind:<6} x{count:<5} {total:>8.3}s total");
@@ -106,16 +106,23 @@ fn main() {
         traced.trace.len()
     );
 
-    // --- scheduler policy comparison ---------------------------------------
-    println!("\nscheduler policies on the same DAG (wall seconds):");
-    for policy in [SchedPolicy::Priority, SchedPolicy::Fifo, SchedPolicy::Lifo] {
+    // --- ready-task order comparison ----------------------------------------
+    // The executor pops the highest priority first, oldest first on ties:
+    // a constant priority is a FIFO order, the insertion index a LIFO one.
+    println!("\nready-task orders on the same DAG (wall seconds):");
+    for name in ["critical path", "fifo", "lifo"] {
+        let priority = |critical: i64, idx: usize| match name {
+            "fifo" => 0,
+            "lifo" => idx as i64,
+            _ => critical,
+        };
         let mut g = TaskGraph::new();
         for k in 0..nt {
             let d = |i: usize, j: usize| DataId((i * nt + j) as u64);
             g.insert(
                 "potrf",
                 vec![Access::write(d(k, k))],
-                (nt - k) as i64 * 4 + 3,
+                priority((nt - k) as i64 * 4 + 3, g.len()),
                 0.0,
                 || {
                     std::hint::black_box(busy_work(40_000));
@@ -125,7 +132,7 @@ fn main() {
                 g.insert(
                     "trsm",
                     vec![Access::read(d(k, k)), Access::write(d(i, k))],
-                    (nt - k) as i64 * 4 + 2,
+                    priority((nt - k) as i64 * 4 + 2, g.len()),
                     0.0,
                     || {
                         std::hint::black_box(busy_work(60_000));
@@ -142,7 +149,7 @@ fn main() {
                             Access::read(d(j, k)),
                             Access::write(d(i, j)),
                         ],
-                        (nt - k) as i64 * 4,
+                        priority((nt - k) as i64 * 4, g.len()),
                         0.0,
                         || {
                             std::hint::black_box(busy_work(80_000));
@@ -151,9 +158,9 @@ fn main() {
                 }
             }
         }
-        let r = execute_with_policy(g, 0, false, policy);
+        let r = execute(g, 0, false);
         println!(
-            "  {policy:?}: {:.3}s (efficiency {:.0}%)",
+            "  {name}: {:.3}s (efficiency {:.0}%)",
             r.wall_seconds,
             r.efficiency() * 100.0
         );

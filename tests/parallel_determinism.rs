@@ -7,8 +7,9 @@
 //! workers exist, and order-preserving `collect` reassembles results by
 //! chunk index. These tests pin that contract for the three rayon call
 //! sites — covariance assembly (`par_chunks_mut`), tile generation
-//! (`par_iter().map().collect()`), and PSO particle evaluation — plus a
-//! full fit on top of all three.
+//! (`par_iter().map().collect()`), and PSO particle evaluation — plus the
+//! task runtime's worker loops, which run on the same pool, and a full fit
+//! on top of all of them.
 
 use exageostat_rs::core::PsoOptions;
 use exageostat_rs::covariance::covariance_matrix;
@@ -16,6 +17,7 @@ use exageostat_rs::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rayon::ThreadPoolBuilder;
+use std::sync::Arc;
 
 /// Run `f` with the thread-local pool forced to `threads` workers.
 fn with_pool<R>(threads: usize, f: impl FnOnce() -> R) -> R {
@@ -92,23 +94,30 @@ fn tile_cholesky_factor_is_bitwise_identical_across_pool_sizes() {
     };
     // MpDenseTlr exercises every tile format the generator can emit
     // (dense f64/f32/f16 and low-rank) through the pool-fanned
-    // par_iter generation path.
+    // par_iter generation path. The task runtime on the whole pool
+    // factors a second copy.
     let factor = |threads: usize| {
         with_pool(threads, || {
-            let m = SymTileMatrix::generate(
-                &kernel,
-                &locs,
-                TlrConfig::new(Variant::MpDenseTlr, 75),
-                &model,
-            );
-            let mut f = TiledFactor::from_matrix(m);
+            let generate = || {
+                SymTileMatrix::generate(
+                    &kernel,
+                    &locs,
+                    TlrConfig::new(Variant::MpDenseTlr, 75),
+                    &model,
+                )
+            };
+            let mut f = TiledFactor::from_matrix(generate());
             f.factorize_seq().expect("SPD");
-            f.to_dense_lower()
+            let par = Arc::new(TiledFactor::from_matrix(generate()));
+            par.factorize_parallel(0).0.expect("SPD");
+            (f.to_dense_lower(), par.to_dense_lower())
         })
     };
-    let one = factor(1);
-    let many = factor(4);
+    let (one, one_par) = factor(1);
+    let (many, many_par) = factor(4);
     assert_eq!(one.as_slice(), many.as_slice());
+    assert_eq!(one_par.as_slice(), many_par.as_slice());
+    assert_eq!(one.as_slice(), one_par.as_slice());
 }
 
 #[test]
@@ -119,9 +128,11 @@ fn full_fit_is_bitwise_identical_across_pool_sizes() {
         mem_factor: 1.0,
     };
     let cfg = TlrConfig::new(Variant::DenseF64, 64);
-    let run = |threads: usize| {
+    // `workers: 2` nests a task-runtime factorization in every particle.
+    let run = |threads: usize, workers: usize| {
         with_pool(threads, || {
             let opts = FitOptions {
+                workers,
                 optimizer: exageostat_rs::core::mle::FitOptimizer::ParticleSwarm(PsoOptions {
                     particles: 6,
                     iterations: 4,
@@ -133,11 +144,13 @@ fn full_fit_is_bitwise_identical_across_pool_sizes() {
             fit(ModelFamily::MaternSpace, &locs, &z, &cfg, &model, &opts)
         })
     };
-    let one = run(1);
-    let many = run(4);
-    assert_eq!(one.llh.to_bits(), many.llh.to_bits());
-    for (a, b) in one.theta.iter().zip(&many.theta) {
-        assert_eq!(a.to_bits(), b.to_bits());
+    for workers in [1, 2] {
+        let one = run(1, workers);
+        let many = run(4, workers);
+        assert_eq!(one.llh.to_bits(), many.llh.to_bits());
+        for (a, b) in one.theta.iter().zip(&many.theta) {
+            assert_eq!(a.to_bits(), b.to_bits());
+        }
+        assert_eq!(one.evals, many.evals);
     }
-    assert_eq!(one.evals, many.evals);
 }
